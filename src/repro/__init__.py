@@ -27,18 +27,29 @@ Quickstart::
     print(solution.measures.carried_data_traffic)
 """
 
-from repro.core.handover import HandoverBalance, balance_handover_rates
-from repro.core.measures import GprsPerformanceMeasures, compute_measures
-from repro.core.model import GprsMarkovModel, GprsModelSolution
-from repro.core.parameters import GprsModelParameters
-from repro.core.state_space import GprsStateSpace
-from repro.traffic.presets import (
+import time as _time
+
+_import_started = _time.perf_counter()
+
+from repro.core.handover import HandoverBalance, balance_handover_rates  # noqa: E402
+from repro.core.measures import GprsPerformanceMeasures, compute_measures  # noqa: E402
+from repro.core.model import GprsMarkovModel, GprsModelSolution  # noqa: E402
+from repro.core.parameters import GprsModelParameters  # noqa: E402
+from repro.core.state_space import GprsStateSpace  # noqa: E402
+from repro.traffic.presets import (  # noqa: E402
     TRAFFIC_MODEL_1,
     TRAFFIC_MODEL_2,
     TRAFFIC_MODEL_3,
     traffic_model,
 )
-from repro.traffic.session import PacketSessionModel
+from repro.traffic.session import PacketSessionModel  # noqa: E402
+
+#: Seconds this interpreter spent importing the package and the numeric
+#: stack beneath it.  Every forkserver and pool worker repeats this import,
+#: so :mod:`repro.runtime.resilience` predicts a worker pool's start cost
+#: from it before any pool has started in the process.
+_IMPORT_S = _time.perf_counter() - _import_started
+del _import_started, _time
 
 __version__ = "1.0.0"
 

@@ -89,8 +89,6 @@ from repro.experiments.scale import ExperimentScale
 from repro.network.sweep import run_network_sweep
 from repro.transient.sweep import run_transient_sweep
 from repro.runtime import ResultCache, default_cache_dir, list_scenarios, run_sweep, scenario
-from repro.simulator.config import SimulationConfig, TcpConfig
-from repro.simulator.simulation import GprsNetworkSimulator
 from repro.traffic.presets import traffic_model
 
 __all__ = ["main", "build_parser"]
@@ -251,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="TCP port (default 8754; 0 = ephemeral)")
     serve_parser.add_argument("--jobs", type=int, default=1,
                               help="persistent worker processes shared by "
-                              "network-sweep requests (1 = serial)")
+                              "network-sweep requests, started once the "
+                              "work repays their start cost (1 = serial)")
     serve_parser.add_argument("--no-cache", action="store_true",
                               help="serve without the result cache")
     serve_parser.add_argument("--cache-dir", type=Path, default=None,
@@ -356,7 +355,9 @@ def _add_runtime_arguments(
     parser: argparse.ArgumentParser, *, chunking: bool = True
 ) -> None:
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (1 = serial)")
+                        help="at most this many worker processes, started "
+                        "only when the work repays their start cost "
+                        "(1 = serial)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the result cache for this invocation")
     parser.add_argument("--cache-dir", type=Path, default=None,
@@ -957,6 +958,10 @@ def _execute(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "simulate":
+        # The DES stack is imported only by the command that runs it.
+        from repro.simulator.config import SimulationConfig, TcpConfig
+        from repro.simulator.simulation import GprsNetworkSimulator
+
         params = _parameters_from_args(args)
         config = SimulationConfig(
             cell_parameters=params,

@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import stats
-
 __all__ = ["ConfidenceInterval", "BatchMeansEstimator"]
 
 
@@ -129,6 +127,8 @@ class BatchMeansEstimator:
             )
         variance = sum((value - grand_mean) ** 2 for value in self._batch_means) / (n - 1)
         standard_error = math.sqrt(variance / n)
+        from scipy import stats  # deferred: scipy.stats costs ~1 s to import
+
         quantile = stats.t.ppf(0.5 + self._confidence_level / 2.0, df=n - 1)
         return ConfidenceInterval(
             mean=grand_mean,

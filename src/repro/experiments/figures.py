@@ -26,8 +26,6 @@ from dataclasses import dataclass, field
 from repro.core.parameters import GprsModelParameters
 from repro.experiments.scale import ExperimentScale
 from repro.experiments.sweep import sweep_arrival_rates
-from repro.simulator.config import SimulationConfig, TcpConfig
-from repro.simulator.simulation import GprsNetworkSimulator
 from repro.traffic.presets import TRAFFIC_MODEL_1, TRAFFIC_MODEL_2, TRAFFIC_MODEL_3
 
 __all__ = [
@@ -165,6 +163,10 @@ def _simulation_series(
     seed: int = 20020527,
 ) -> FigureSeries:
     """Run the network simulator at every arrival rate and package the metrics."""
+    # Imported here so the analytic figures never load the DES stack.
+    from repro.simulator.config import SimulationConfig, TcpConfig
+    from repro.simulator.simulation import GprsNetworkSimulator
+
     values: dict[str, list[float]] = {metric: [] for metric in metrics}
     half_widths: dict[str, list[float]] = {metric: [] for metric in metrics}
     for rate in scale.arrival_rates:

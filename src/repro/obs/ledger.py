@@ -97,6 +97,9 @@ _RESILIENCE_COUNTERS = (
     ("timeouts", "resilience.timeouts"),
     ("pool_respawns", "resilience.pool_respawns"),
     ("degraded", "resilience.degraded"),
+    ("pool_started", "resilience.pool_started"),
+    ("pool_declined", "resilience.pool_declined"),
+    ("pool_start_s", "resilience.pool_start_s"),
     ("failures", "resilience.task_failures"),
     ("resumed_points", "resilience.resumed_points"),
     ("checkpointed_points", "resilience.checkpointed_points"),
@@ -381,8 +384,10 @@ def render_report(record: dict, *, top: int = 10) -> str:
         lines.append("resilience:")
         name_width = max(len(name) for name in resilience)
         for name in sorted(resilience):
-            if resilience[name]:
-                lines.append(f"  {name:<{name_width}}  {resilience[name]}")
+            value = resilience[name]
+            if value:
+                text = f"{value:.3f}" if isinstance(value, float) else value
+                lines.append(f"  {name:<{name_width}}  {text}")
 
     store = record.get("store") or {}
     if any(store.values()):

@@ -102,7 +102,14 @@ class MetricsRegistry:
     # -- recording -----------------------------------------------------------
 
     def count(self, name: str, amount: int = 1) -> None:
-        """Add ``amount`` to the counter ``name`` (creating it at zero)."""
+        """Add ``amount`` to the counter ``name`` (creating it at zero).
+
+        A zero amount records nothing: worker exports drop unchanged
+        counters, so in-process work must not leave zero-valued keys that
+        the same work done in a worker would not.
+        """
+        if not amount:
+            return
         with self._lock:
             self.counters[name] = self.counters.get(name, 0) + amount
 

@@ -7,6 +7,9 @@ lists "taking into account packet retransmissions that would lead to a
 decrease in overall throughput" as future work (end of Section 3).  This
 package implements that future work as a self-contained link-level substrate:
 
+* :mod:`repro.radio.blocks` -- the error-free radio-interface arithmetic
+  (RLC blocks per packet, multislot transfer time) that both the ARQ
+  analysis and the network simulator build on;
 * :mod:`repro.radio.bler` -- block error probability of the four GPRS coding
   schemes CS-1 .. CS-4 as a function of the carrier-to-interference ratio
   (synthetic logistic curves calibrated to the qualitative behaviour reported

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from repro.radio.bler import block_error_rate
-from repro.simulator.radio import rlc_blocks_per_packet, transmission_time
+from repro.radio.blocks import rlc_blocks_per_packet, transmission_time
 from repro.traffic.units import (
     CODING_SCHEME_RATES_KBIT_S,
     DATA_PACKET_SIZE_BYTES,
@@ -122,7 +122,7 @@ def expected_packet_transfer_time(
 ) -> float:
     """Return the expected downlink transfer time of one packet including ARQ.
 
-    The error-free transfer time of :func:`repro.simulator.radio.transmission_time`
+    The error-free transfer time of :func:`repro.radio.blocks.transmission_time`
     is stretched by the expected number of transmissions per block; this is the
     same expected-value treatment the network simulator applies, so analytical
     and simulated transfer times stay consistent.

@@ -20,6 +20,30 @@ wall time.  This module supplies that recovery:
   serial execution** and the sweep still finishes.  A task past its deadline
   (``ExecutionOptions.task_timeout``) cannot be cancelled mid-run, so the
   pool is recycled and the survivors resubmitted.
+* **The start rule** -- ``jobs > 1`` does not by itself start worker
+  processes.  Until a pool has started, queued tasks run in-process, one at
+  a time, and are timed.  Before each one the pool decides whether starting
+  its workers would repay their cost:
+
+  - *saving* = remaining tasks x most recent in-process task time x
+    (1 - 1/width), with width = min(jobs, remaining tasks).  The most recent
+    time, not the mean: the first task also builds this process's solver
+    scaffolds, which would inflate a mean.
+  - *cost* = the predicted pool start cost plus the first task's excess over
+    the most recent one (the scaffold build every fresh worker repeats).
+    The start cost is the latest start measured in this process; before any
+    pool has started it is twice the time this interpreter spent importing
+    :mod:`repro` (the forkserver repeats that import once, its workers once
+    more), so the prior is measured on the host it predicts.
+
+  The pool starts when saving > cost and then stays (its cost is paid).  A
+  pool with a ``task_timeout`` or under an active fault plan always starts:
+  deadlines and worker kills need process isolation.  Tasks are pure, so
+  where a task runs never changes its bytes -- ``jobs=1`` stays bitwise
+  equal to ``jobs=N`` whichever way the rule decides.  The decisions are
+  counted as ``resilience.pool_declined`` (tasks kept in-process) and
+  ``resilience.pool_started``, and measured start seconds accumulate in
+  ``resilience.pool_start_s``.
 * :class:`SweepFailure` -- the structured record a task that exhausted its
   attempts leaves behind instead of aborting the sweep; ``strict`` restores
   fail-fast by raising :class:`SweepFailureError` at the first one.
@@ -138,6 +162,26 @@ def _init_worker_env(snapshot: dict) -> None:
 
 def _noop() -> None:
     """Target of the forkserver warm-up probe (must be module-level)."""
+
+
+#: Seconds the most recent worker pool of this process took from creation
+#: until every worker answered (``None`` until one has started).
+_last_start_s: float | None = None
+
+
+def _pool_start_cost_s() -> float:
+    """Predicted seconds to start a worker pool in this process.
+
+    The latest measured start once a pool has started; before that, twice
+    this interpreter's :mod:`repro` import time -- the forkserver pays that
+    import once and its workers (re-importing the entry script, in
+    parallel) pay it once more.
+    """
+    if _last_start_s is not None:
+        return _last_start_s
+    import repro
+
+    return 2.0 * repro._IMPORT_S
 
 
 def _pool_mp_context():
@@ -380,7 +424,10 @@ class ResilientPool:
     :class:`SweepFailureError` instead.
 
     ``jobs <= 1`` executes in-process (no pool is ever created), through the
-    very same retry loop.  Deadlines are enforceable only under a pool --
+    very same retry loop.  ``jobs > 1`` queues submissions and starts its
+    workers only when the start rule (module docstring) says the queued work
+    repays them; until then :meth:`poll` runs queued tasks in-process, one
+    per call.  Deadlines are enforceable only under a pool --
     in-process execution cannot interrupt itself -- so ``task_timeout`` is
     ignored serially.  Parallel tasks that survive a pool recycle are
     resubmitted at their current attempt: payloads are pure, so re-running
@@ -405,6 +452,12 @@ class ResilientPool:
         self._degraded = False
         self._pending: dict[Future, _Task] = {}
         self._ready: list[tuple[object, object]] = []
+        # Start-rule state: tasks waiting for the start decision, whether
+        # this pool has started its workers, and in-process task timings.
+        self._queued: list[_Task] = []
+        self._started = False
+        self._first_task_s: float | None = None
+        self._recent_task_s: float | None = None
 
     @property
     def degraded(self) -> bool:
@@ -430,6 +483,7 @@ class ResilientPool:
             return
         self._pending.clear()
         self._ready.clear()
+        self._queued.clear()
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
@@ -448,8 +502,47 @@ class ResilientPool:
         )
         if self.serial:
             self._ready.append((task.tag, self._run_in_process(task)))
-        else:
+        elif (
+            self._started
+            # Deadlines and injected faults need real worker processes.
+            or self._timeout is not None
+            or current_fault_plan() is not None
+        ):
+            self._start()
             self._submit_task(task)
+        else:
+            self._queued.append(task)
+
+    # -- the start rule ------------------------------------------------------
+
+    def _pool_pays(self) -> bool:
+        """Would starting the workers now repay their cost (module docs)?"""
+        remaining = len(self._queued)
+        width = min(self._jobs, remaining)
+        recent = self._recent_task_s or 0.0
+        saving = remaining * recent * (1.0 - 1.0 / width)
+        excess = max(0.0, (self._first_task_s or 0.0) - recent)
+        return saving > _pool_start_cost_s() + excess
+
+    def _start(self) -> None:
+        if not self._started:
+            self._started = True
+            current_registry().count("resilience.pool_started")
+
+    def _dispatch_queued(self) -> None:
+        """Start the pool for every queued task, or run the next in-process."""
+        if self._pool_pays():
+            self._start()
+            queued, self._queued = self._queued, []
+            for task in queued:
+                if self._degraded:
+                    self._ready.append((task.tag, self._run_in_process(task)))
+                else:
+                    self._submit_task(task)
+            return
+        current_registry().count("resilience.pool_declined")
+        task = self._queued.pop(0)
+        self._ready.append((task.tag, self._run_in_process(task)))
 
     def _submit_task(self, task: _Task) -> None:
         registry = current_registry()
@@ -485,7 +578,9 @@ class ResilientPool:
             return
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
+        global _last_start_s
         if self._pool is None:
+            started = time.perf_counter()
             self._pool = ProcessPoolExecutor(
                 max_workers=self._jobs,
                 mp_context=_pool_mp_context(),
@@ -504,6 +599,8 @@ class ResilientPool:
                 )
             except BrokenProcessPool:
                 pass
+            _last_start_s = time.perf_counter() - started
+            current_registry().count("resilience.pool_start_s", _last_start_s)
         return self._pool
 
     # -- in-process execution (serial mode and degraded mode) ----------------
@@ -521,16 +618,23 @@ class ResilientPool:
             registry.count("resilience.attempts")
             if actions:
                 registry.count("faults.injected", len(actions))
+            started = time.perf_counter()
             try:
                 if actions:
-                    return run_with_faults(actions, task.worker, task.job, False)
-                return task.worker(task.job)
+                    outcome = run_with_faults(actions, task.worker, task.job, False)
+                else:
+                    outcome = task.worker(task.job)
             except (KeyboardInterrupt, SystemExit):
                 raise
             except BaseException as error:  # noqa: BLE001 - classified below
                 failure = self._fail_or_retry(task, error)
                 if failure is not None:
                     return failure
+            else:
+                self._recent_task_s = time.perf_counter() - started
+                if self._first_task_s is None:
+                    self._first_task_s = self._recent_task_s
+                return outcome
 
     # -- shared retry bookkeeping --------------------------------------------
 
@@ -566,8 +670,11 @@ class ResilientPool:
         """Drain ready ``(tag, outcome)`` pairs, blocking until at least one
         is available (or nothing is pending)."""
         self._check_cancelled()
-        while not self._ready and self._pending:
-            self._wait_once()
+        while not self._ready and (self._pending or self._queued):
+            if self._queued:
+                self._dispatch_queued()
+            else:
+                self._wait_once()
         drained, self._ready = self._ready, []
         return drained
 
@@ -696,6 +803,7 @@ class ResilientPool:
         return [outcomes[position] for position in range(len(jobs_list))]
 
     def shutdown(self, wait_: bool = True) -> None:
+        self._queued.clear()
         if self._pool is not None:
             self._pool.shutdown(wait=wait_)
             self._pool = None

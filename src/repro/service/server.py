@@ -12,7 +12,7 @@ requests:
 - per solver thread, a persistent
   :class:`~repro.runtime.resilience.ResilientPool` whose worker processes
   (and their per-process scaffold caches) survive across network-sweep
-  requests.
+  requests once the pool's start rule has started them.
 
 The HTTP layer is stdlib only (:class:`http.server.ThreadingHTTPServer`),
 speaks JSON, and exposes::
@@ -333,7 +333,13 @@ class ScenarioService:
     # Introspection
     # ------------------------------------------------------------------ #
     def stats(self) -> dict:
-        """Service state for ``GET /stats`` (admission, tiers, metrics)."""
+        """Service state for ``GET /stats`` (admission, tiers, metrics).
+
+        ``resilience`` is the run ledger's block of the same name: retries,
+        respawns and the worker-pool start decisions (pools started and
+        declined, measured start seconds).
+        """
+        from repro.obs.ledger import resilience_block
         from repro.obs.metrics import current_registry
 
         store = None
@@ -351,6 +357,7 @@ class ScenarioService:
         requests = (
             admission["accepted"] + admission["coalesced"] + admission["rejected"]
         )
+        metrics = current_registry().snapshot()
         return {
             "ok": True,
             "protocol": PROTOCOL_VERSION,
@@ -361,7 +368,8 @@ class ScenarioService:
             "admission": admission,
             "store": store,
             "cache": cache,
-            "metrics": current_registry().snapshot(),
+            "resilience": resilience_block(metrics),
+            "metrics": metrics,
         }
 
 

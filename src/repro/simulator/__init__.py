@@ -17,7 +17,7 @@ Public entry point: :class:`~repro.simulator.simulation.GprsNetworkSimulator`.
 from repro.simulator.cell import Cell
 from repro.simulator.cluster import HexagonalCluster
 from repro.simulator.config import SimulationConfig
-from repro.simulator.radio import rlc_blocks_per_packet, transmission_time
+from repro.radio.blocks import rlc_blocks_per_packet, transmission_time
 from repro.simulator.results import CellMeasurements, SimulationResults
 from repro.simulator.simulation import GprsNetworkSimulator
 from repro.simulator.tcp import TcpConnection

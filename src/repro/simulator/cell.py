@@ -23,7 +23,7 @@ from repro.core.parameters import GprsModelParameters
 from repro.des.engine import SimulationEngine
 from repro.des.process import Process, Timeout
 from repro.des.statistics import Counter, Tally, TimeWeightedStatistic
-from repro.simulator.radio import transmission_time
+from repro.radio.blocks import transmission_time
 from repro.traffic.units import MAX_TIME_SLOTS_PER_STATION
 
 __all__ = ["Packet", "Cell", "CellStatistics"]

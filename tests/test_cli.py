@@ -3,10 +3,35 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+
+class TestLeanImport:
+    def test_cli_import_leaves_the_des_stack_unloaded(self):
+        """``import repro.cli`` -- paid by every command and by every pool
+        worker re-importing the entry script -- must not pull in the
+        simulator, the DES engine or ``scipy.stats``."""
+        heavy = ("scipy.stats", "repro.des", "repro.simulator")
+        code = (
+            "import sys, repro.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        completed = subprocess.run(
+            [sys.executable, "-c", code],
+            check=True,
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert completed.stdout.strip() == "[]"
 
 
 class TestParser:

@@ -17,7 +17,7 @@ from repro import obs
 from repro.experiments.scale import ExperimentScale
 from repro.network import hexagonal_cluster
 from repro.network.sweep import network_sweep_payloads
-from repro.runtime import run_sweep, scenario
+from repro.runtime import resilience, run_sweep, scenario
 from repro.transient.sweep import transient_sweep_payloads
 
 SMOKE = ExperimentScale.smoke()
@@ -113,17 +113,26 @@ class TestMetricsMerge:
             if name.startswith(TestMetricsMerge.WORK_PREFIXES)
         }
 
-    def test_parallel_counters_merge_to_serial_totals(self):
+    def test_parallel_counters_merge_to_serial_totals(self, monkeypatch):
+        # Start real workers (one chunk per point, so there are chunks to
+        # spread) so that their exports cross the process boundary.
+        monkeypatch.setattr(resilience, "_pool_start_cost_s", lambda: float("-inf"))
         spec = scenario("figure12").replace(arrival_rates=(0.2, 0.4, 0.6, 0.8))
         registries = {}
         for jobs in (1, 4):
             registries[jobs] = obs.MetricsRegistry()
             with obs.activate_registry(registries[jobs]):
-                run_sweep(spec, SMOKE, jobs=jobs, cache=None)
+                run_sweep(spec, SMOKE, jobs=jobs, cache=None, chunk_size=1)
         serial = self._work_counters(registries[1])
         parallel = self._work_counters(registries[4])
         assert serial["model.solves"] == 4
         assert serial == parallel
+        assert registries[4].snapshot()["counters"]["resilience.pool_started"] == 1
+
+    def test_zero_count_records_nothing(self):
+        registry = obs.MetricsRegistry()
+        registry.count("solver.iterations", 0)
+        assert registry.snapshot()["counters"] == {}
 
     def test_absorb_export_is_pid_guarded(self):
         registry = obs.MetricsRegistry()
@@ -203,10 +212,12 @@ class TestLedger:
                 "resilience.attempts": 5,
                 "resilience.retries": 2,
                 "resilience.pool_respawns": 1,
+                "resilience.pool_start_s": 1.23456,
                 "faults.injected": 1,
             }
         }
         block = obs.resilience_block(metrics)
+        assert block["pool_start_s"] == 1.23456
         assert block["attempts"] == 5
         assert block["retries"] == 2
         assert block["pool_respawns"] == 1
@@ -225,6 +236,7 @@ class TestLedger:
         obs.validate_record(eventful)
         report = obs.render_report(eventful)
         assert "resilience" in report and "retries" in report
+        assert "pool_start_s" in report and "1.235" in report
 
     def test_store_block_derives_from_counters(self):
         metrics = {

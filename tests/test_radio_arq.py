@@ -15,7 +15,7 @@ from repro.radio.arq import (
     residual_block_loss_probability,
     transfer_time_percentile,
 )
-from repro.simulator.radio import transmission_time
+from repro.radio.blocks import transmission_time
 from repro.traffic.units import CODING_SCHEME_RATES_KBIT_S, pdch_service_rate
 
 

@@ -15,6 +15,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.obs.metrics import current_registry
+from repro.runtime import resilience
 from repro.runtime.faults import inject_faults
 from repro.runtime.resilience import (
     CHECKPOINT_SCHEMA,
@@ -46,8 +47,8 @@ def _nap(job):
 
 
 def _read_env(key):
-    """Worker that reports one environment variable (env-parity tests)."""
-    return os.environ.get(key)
+    """Worker that reports its PID and one environment variable."""
+    return os.getpid(), os.environ.get(key)
 
 
 class TestRetryPolicy:
@@ -174,22 +175,27 @@ class TestWorkerEnvParity:
 
     PROBE = "REPRO_TEST_ENV_PARITY_PROBE"
 
+    @pytest.fixture(autouse=True)
+    def _workers(self, monkeypatch):
+        """Start real workers: the start rule would run a probe in-process."""
+        monkeypatch.setattr(resilience, "_pool_start_cost_s", lambda: float("-inf"))
+
+    def _worker_env(self):
+        with ResilientPool(2) as pool:
+            ((pid, value),) = pool.run(_read_env, [self.PROBE], site="cell")
+        assert pid != os.getpid()
+        return value
+
     def test_env_set_after_forkserver_start_reaches_new_pools(self, monkeypatch):
-        with ResilientPool(1) as warmup:  # forkserver is running after this
-            assert warmup.run(_double, [1], site="cell") == [2]
+        self._worker_env()  # the forkserver is running after this
         monkeypatch.setenv(self.PROBE, "set-after-start")
-        with ResilientPool(1) as pool:
-            assert pool.run(_read_env, [self.PROBE], site="cell") == [
-                "set-after-start"
-            ]
+        assert self._worker_env() == "set-after-start"
 
     def test_env_deleted_in_parent_is_deleted_in_workers(self, monkeypatch):
         monkeypatch.setenv(self.PROBE, "doomed")
-        with ResilientPool(1) as warmup:
-            assert warmup.run(_read_env, [self.PROBE], site="cell") == ["doomed"]
+        assert self._worker_env() == "doomed"
         monkeypatch.delenv(self.PROBE)
-        with ResilientPool(1) as pool:
-            assert pool.run(_read_env, [self.PROBE], site="cell") == [None]
+        assert self._worker_env() is None
 
 
 class TestFailureSink:
@@ -355,13 +361,15 @@ class TestCancelToken:
         with cancel_scope(token), pytest.raises(TaskCancelledError):
             pool.submit(_double, 2, site="t", index=0)
 
-    def test_tripped_token_aborts_pool_poll_and_counts_cancelled(self):
+    def test_tripped_token_aborts_pool_poll_and_counts_cancelled(self, monkeypatch):
         from repro.runtime.resilience import (
             CancelToken,
             TaskCancelledError,
             cancel_scope,
         )
 
+        # Start real workers so the abort tears down an in-flight task.
+        monkeypatch.setattr(resilience, "_pool_start_cost_s", lambda: float("-inf"))
         registry = current_registry()
         before = registry.snapshot()["counters"].get("resilience.cancelled", 0)
         token = CancelToken()

@@ -135,6 +135,10 @@ class TestService:
         assert stats["requests"] == 0
         assert stats["store"]["entries"] == 0
         assert stats["cache"] is not None
+        # The ledger's resilience block, pool start decisions included.
+        assert {"pool_started", "pool_declined", "pool_start_s"} <= set(
+            stats["resilience"]
+        )
 
     def test_repeat_request_is_served_from_cache(self, service_client):
         _, client = service_client

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.simulator.radio import (
+from repro.radio.blocks import (
     RADIO_BLOCK_PERIOD_S,
     RLC_BLOCK_PAYLOAD_BITS,
     effective_rate_kbit_s,

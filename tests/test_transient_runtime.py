@@ -135,10 +135,12 @@ class TestTransientSweep:
         spec = _fast_spec()
         # Earlier tests warm the process-wide propagator cache with this
         # very spec.  Pool workers always start cold (they no longer fork
-        # from the warm parent), so replay provenance would differ; level
-        # the field so both sides compute cold.
+        # from the warm parent), while trajectories the pool's start rule
+        # keeps in-process see the parent's cache, so replay provenance
+        # would differ; level the field so both sides compute cold.
         default_propagator_cache().clear()
         serial = transient_sweep_payloads(spec, scale, jobs=1)
+        default_propagator_cache().clear()
         parallel = transient_sweep_payloads(spec, scale, jobs=2)
         assert serial == parallel
 
