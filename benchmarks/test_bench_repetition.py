@@ -39,7 +39,7 @@ from repro.core.structured_solver import StructuredSolveContext, solve_structure
 from repro.core.template import GeneratorTemplate
 from repro.experiments.scale import ExperimentScale
 from repro.network.sweep import network_sweep_payloads
-from repro.runtime import scenario
+from repro.runtime import resilience, scenario
 from repro.traffic.presets import TRAFFIC_MODEL_3
 from repro.transient import PropagatorCache, TransientModel
 
@@ -195,13 +195,17 @@ def _sixteen_point_spec():
     return scenario("homogeneous-7").replace(arrival_rates=rates)
 
 
-def test_pipelined_network_sweep_16pt():
+def test_pipelined_network_sweep_16pt(monkeypatch):
     """16-point homogeneous-7: bitwise == serial, faster when cores allow.
 
     Both arms are timed twice, interleaved, and compared on their best runs
     (the convention of the other wall-clock benchmarks) so one load spike on
-    a shared runner cannot decide the comparison.
+    a shared runner cannot decide the comparison.  The comparison is between
+    two schedules over worker processes, so both arms start their pool at
+    once: left to the pool's start rule, smoke-sized cell solves would stay
+    in-process in either arm and the schedules would not be compared.
     """
+    monkeypatch.setattr(resilience, "_pool_start_cost_s", lambda: float("-inf"))
     scale = ExperimentScale.smoke()
     spec = _sixteen_point_spec()
     jobs = 2

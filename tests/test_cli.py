@@ -30,6 +30,7 @@ class TestLeanImport:
             capture_output=True,
             text=True,
             env=env,
+            timeout=120,
         )
         assert completed.stdout.strip() == "[]"
 

@@ -10,6 +10,7 @@ The load-bearing properties asserted here:
 
 from __future__ import annotations
 
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -42,13 +43,20 @@ class TestKeys:
         assert len(key1) == 64  # sha256 hex
 
     def test_key_is_identical_across_processes(self):
-        """The same spec must hash identically in a fresh worker process."""
+        """The same spec must hash identically in a fresh worker process.
+
+        The worker is spawned, not forked: a fresh interpreter shares no
+        state with this one, and a fork of a test process with live threads
+        can wedge the child before it runs anything.
+        """
         params = _spec_params_dict("figure12")
         parent_key = result_key(params, solver="auto", solver_tol=1e-9)
-        with ProcessPoolExecutor(max_workers=1) as pool:
+        with ProcessPoolExecutor(
+            max_workers=1, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
             child_key = pool.submit(
                 result_key, params, solver="auto", solver_tol=1e-9
-            ).result()
+            ).result(timeout=120)
         assert parent_key == child_key
 
     def test_mutated_spec_misses(self):

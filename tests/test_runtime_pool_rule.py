@@ -216,6 +216,7 @@ class TestTelemetry:
             check=True,
             capture_output=True,
             env=env,
+            timeout=300,
         )
         (record,) = read_ledger(ledger)
         block = record["resilience"]
