@@ -16,6 +16,7 @@ generator construction never re-derives arithmetic from raw parameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.traffic.presets import TRAFFIC_MODEL_3, TrafficModelPreset
@@ -83,8 +84,8 @@ class GprsModelParameters:
     block_error_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.total_call_arrival_rate < 0:
-            raise ValueError("total call arrival rate must be non-negative")
+        if not 0 <= self.total_call_arrival_rate < math.inf:
+            raise ValueError("total call arrival rate must be finite and non-negative")
         if not 0.0 <= self.gprs_fraction <= 1.0:
             raise ValueError("gprs_fraction must be between 0 and 1")
         if self.number_of_channels < 1:

@@ -5,8 +5,11 @@ mixture of powers of the uniformised DTMC,
 
     pi(t) = sum_{k >= 0} PoissonPMF(k; Lambda t) * pi(0) P^k,
 
-with ``P = I + Q / Lambda`` and ``Lambda >= max_i |q_ii|``.  The series is
-truncated once the accumulated Poisson weight exceeds ``1 - tol``.
+with ``P = I + Q / Lambda`` and ``Lambda >= max_i |q_ii|``.  The weights are
+Fox & Glynn's ("Computing Poisson probabilities", CACM 1988): anchored at the
+mode and recursed outward, so ``exp(-Lambda t)`` never underflows and one
+series covers any horizon.  The series is truncated left and right of the
+mode, each side once a certified bound puts its excluded tail below ``tol/2``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,13 @@ import scipy.sparse as sp
 
 from repro.markov.solvers import uniformization_rate
 
-__all__ = ["uniformize", "transient_distribution", "poisson_truncation_point"]
+__all__ = [
+    "poisson_series",
+    "poisson_truncation_point",
+    "poisson_window",
+    "transient_distribution",
+    "uniformize",
+]
 
 
 def uniformize(generator, rate: float | None = None) -> tuple[sp.csr_matrix, float]:
@@ -70,8 +79,8 @@ def poisson_truncation_point(mean: float, tol: float) -> int:
     costs the caller some vanishing-weight series terms; the coverage
     guarantee ``CDF(k) >= 1 - tol`` always holds.
     """
-    if mean < 0:
-        raise ValueError("mean must be non-negative")
+    if not 0 <= mean < np.inf:
+        raise ValueError("mean must be finite and non-negative")
     if mean == 0:
         return 0
     if mean <= _SCAN_MEAN_THRESHOLD:
@@ -116,6 +125,70 @@ def poisson_truncation_point(mean: float, tol: float) -> int:
     return k
 
 
+def poisson_window(mean: float, tol: float) -> tuple[int, np.ndarray]:
+    """Return ``(left, weights)``: ``weights[i]`` is the Poisson probability of
+    ``left + i``, renormalised over the window the weights cover.
+
+    The weights are anchored at the mode with unit weight and recursed outward
+    (Fox & Glynn), so ``exp(-mean)`` is never formed and ``mean`` has no upper
+    limit.  The right end is :func:`poisson_truncation_point`; the left end is
+    certified by the geometric decay of the PMF below the mode.
+    """
+    if not 0 <= mean < np.inf:
+        raise ValueError("mean must be finite and non-negative")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    mode = int(mean)
+    right = max(mode, poisson_truncation_point(mean, 0.5 * tol))
+    upper = np.cumprod(np.append(1.0, mean / np.arange(mode + 1, right + 1)))
+    # Below the mode every ratio p[j - 1] / p[j] = j / mean is at most
+    # r = left / mean < 1, so P(X < left) <= p[left] r / (1 - r); and
+    # p[left] <= weight / total, the partial sum underestimating the normaliser.
+    lower = []
+    weight = 1.0
+    total = upper.sum()
+    left = mode
+    while left > 0:
+        ratio = left / mean
+        if ratio < 1.0 and weight * ratio <= 0.5 * tol * (1.0 - ratio) * total:
+            break
+        weight *= ratio
+        left -= 1
+        lower.append(weight)
+        total += weight
+    window = np.append(lower[::-1], upper)
+    return left, window / window.sum()
+
+
+def poisson_series(
+    pt, pi: np.ndarray, mean: float, tol: float, *, first_step: np.ndarray | None = None
+) -> tuple[np.ndarray, int]:
+    """Return ``sum_k w_k pi P^k`` over :func:`poisson_window` and the
+    number of ``pt @ term`` products spent (``pt`` is ``P^T`` as CSR).
+
+    ``first_step`` optionally supplies ``pi P`` computed by the caller (not
+    counted).  The sum is renormalised to absorb the truncated tails.  ``pi``
+    is never written and the result is always a fresh array.
+    """
+    left, weights = poisson_window(mean, tol)
+    right = left + len(weights) - 1
+    result = weights[0] * pi if left == 0 else np.zeros_like(pi)
+    term = pi
+    products = 0
+    for k in range(1, right + 1):
+        if k == 1 and first_step is not None:
+            term = first_step
+        else:
+            term = pt @ term
+            products += 1
+        if k >= left:
+            result += weights[k - left] * term
+    total = result.sum()
+    if total > 0:
+        result /= total
+    return result, products
+
+
 def transient_distribution(
     generator,
     initial: np.ndarray | Sequence[float],
@@ -151,35 +224,5 @@ def transient_distribution(
         raise ValueError("initial distribution length does not match number of states")
     if time == 0:
         return pi0.copy()
-
-    # For long horizons the Poisson weights of a single expansion underflow
-    # (exp(-lam * t) vanishes), so the horizon is split into steps with a
-    # bounded uniformisation mean and the distribution is propagated step by
-    # step: pi(t) = pi(t/n) applied n times.
-    mean = lam * time
-    max_step_mean = 200.0
-    if mean > max_step_mean:
-        steps = int(np.ceil(mean / max_step_mean))
-        step_time = time / steps
-        current = pi0.copy()
-        for _ in range(steps):
-            current = transient_distribution(generator, current, step_time, tol=tol)
-        return current
-
-    truncation = poisson_truncation_point(mean, tol)
-
-    result = np.zeros_like(pi0)
-    term = pi0.copy()
-    log_weight = -mean  # log of Poisson PMF at k = 0
-    weight = np.exp(log_weight)
-    result += weight * term
-    for k in range(1, truncation + 1):
-        term = term @ p
-        weight *= mean / k
-        if weight > 0:
-            result += weight * term
-    # Account for the truncated tail by renormalising.
-    total = result.sum()
-    if total > 0:
-        result /= total
+    result, _ = poisson_series(p.T.tocsr(), pi0, lam * time, tol)
     return result

@@ -20,6 +20,7 @@ the workload description and survives.
 from __future__ import annotations
 
 import json
+import math
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -121,7 +122,12 @@ def normalise_request(request: dict) -> dict:
         raise ValueError(f"unknown preset {preset!r}")
     rate = request.get("rate")
     if rate is not None:
-        rate = float(rate)
+        try:
+            rate = float(rate)
+        except (TypeError, ValueError):
+            raise ValueError(f"'rate' must be a number, not {rate!r}") from None
+        if not 0 <= rate < math.inf:
+            raise ValueError(f"'rate' must be finite and non-negative, not {rate!r}")
         if command != "transient":
             raise ValueError("'rate' applies only to transient requests")
     pipelined = bool(request.get("pipelined", False))

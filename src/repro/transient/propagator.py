@@ -66,7 +66,6 @@ def segment_key(
     gprs_handover_arrival_rate: float,
     truncation_tol: float,
     steady_state_tol: float,
-    max_step_mean: float,
     intervals: tuple[float, ...],
     initial: np.ndarray,
 ) -> str:
@@ -94,7 +93,6 @@ def segment_key(
                 gprs_handover_arrival_rate,
                 truncation_tol,
                 steady_state_tol,
-                max_step_mean,
             ]
         ).tobytes()
     )

@@ -106,6 +106,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             GprsModelParameters(total_call_arrival_rate=-0.1)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_arrival_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="finite"):
+            GprsModelParameters(total_call_arrival_rate=rate)
+
     def test_gprs_fraction_bounds(self):
         with pytest.raises(ValueError):
             GprsModelParameters(total_call_arrival_rate=0.5, gprs_fraction=1.5)

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from repro.markov.transient import (
+    poisson_series,
     poisson_truncation_point,
+    poisson_window,
     transient_distribution,
     uniformize,
 )
@@ -99,6 +104,128 @@ class TestPoissonTruncation:
             poisson_truncation_point(5e6, 1e-12)
         elapsed = time.perf_counter() - start
         assert elapsed < 0.5  # the linear scan would need minutes
+
+
+def _stirling_error(n: int) -> float:
+    """``lgamma(n + 1) - log(sqrt(2 pi n) (n / e)^n)``, accurate for every n."""
+    if n <= 15:
+        return (
+            math.lgamma(n + 1.0)
+            - (n + 0.5) * math.log(n)
+            + n
+            - 0.5 * math.log(2.0 * math.pi)
+        )
+    nn = float(n) * n
+    return (
+        1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn
+    ) / n
+
+
+def _deviance(k: int, mean: float) -> float:
+    """``k log(k / mean) + mean - k`` without cancellation near ``k = mean``."""
+    if abs(k - mean) < 0.1 * (k + mean):
+        v = (k - mean) / (k + mean)
+        total = (k - mean) * v
+        term = 2.0 * k * v
+        j = 1
+        while True:
+            term *= v * v
+            updated = total + term / (2 * j + 1)
+            if updated == total:
+                return updated
+            total = updated
+            j += 1
+    return k * math.log(k / mean) + mean - k
+
+
+def _exact_poisson_pmf(k: int, mean: float) -> float:
+    """Poisson PMF to ~1e-13 relative at any mean (Loader's saddle-point form).
+
+    The textbook ``exp(k log(mean) - mean - lgamma(k + 1))`` cancels two
+    terms of size ~1e6 at ``mean = 1e5`` and is only good to ~1e-10 there.
+    """
+    if k == 0:
+        return math.exp(-mean)
+    return math.exp(-_stirling_error(k) - _deviance(k, mean)) / math.sqrt(
+        2.0 * math.pi * k
+    )
+
+
+_MEANS = st.floats(-3.0, 5.0).map(lambda exponent: 10.0**exponent)
+
+
+class TestPoissonWindow:
+    @settings(max_examples=60, deadline=None)
+    @given(mean=_MEANS, tol_exponent=st.floats(-15.0, -13.0))
+    @example(mean=1e-3, tol_exponent=-13.0)
+    @example(mean=1e5, tol_exponent=-13.0)
+    def test_weights_match_the_exact_pmf(self, mean, tol_exponent):
+        # tol <= 1e-13 keeps the renormalisation over the window (a factor
+        # of at most 1 / (1 - tol)) well inside the 1e-12 comparison.
+        left, weights = poisson_window(mean, 10.0**tol_exponent)
+        exact = np.array(
+            [_exact_poisson_pmf(left + i, mean) for i in range(len(weights))]
+        )
+        np.testing.assert_allclose(weights, exact, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mean=_MEANS, tol_exponent=st.floats(-15.0, -3.0))
+    @example(mean=1e5, tol_exponent=-15.0)
+    @example(mean=4000.0, tol_exponent=-12.0)
+    def test_mass_outside_the_window_is_within_tol(self, mean, tol_exponent):
+        from scipy.stats import poisson
+
+        tol = 10.0**tol_exponent
+        left, weights = poisson_window(mean, tol)
+        right = left + len(weights) - 1
+        outside = poisson.cdf(left - 1, mean) + poisson.sf(right, mean)
+        assert outside <= tol
+        assert weights.sum() == pytest.approx(1.0, abs=1e-14)
+
+    def test_weights_never_underflow_at_large_means(self):
+        left, weights = poisson_window(1e7, 1e-12)
+        assert left > 0
+        assert np.all(weights > 0)
+        assert weights[10_000_000 - left] == weights.max()  # the mode
+
+    def test_zero_mean_is_a_point_mass(self):
+        left, weights = poisson_window(0.0, 1e-12)
+        assert left == 0
+        assert weights.tolist() == [1.0]
+
+    @pytest.mark.parametrize(
+        "mean", [-1.0, -1e-300, float("nan"), float("inf"), -float("inf")]
+    )
+    def test_invalid_mean_raises(self, mean):
+        with pytest.raises(ValueError, match="mean"):
+            poisson_window(mean, 1e-12)
+        with pytest.raises(ValueError, match="mean"):
+            poisson_truncation_point(mean, 1e-12)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan")])
+    def test_invalid_tol_raises(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            poisson_window(5.0, tol)
+
+
+class TestPoissonSeries:
+    def test_never_writes_the_start_vector(self):
+        pt = uniformize(three_state_generator())[0].T.tocsr()
+        pi = np.array([0.5, 0.25, 0.25])
+        pi.setflags(write=False)  # any in-place write would raise
+        for mean in (0.0, 0.3, 40.0, 900.0):
+            result, _ = poisson_series(pt, pi, mean, 1e-12)
+            assert result is not pi
+            assert result.flags.writeable
+        assert pi.tolist() == [0.5, 0.25, 0.25]
+
+    def test_first_step_replaces_the_first_product(self):
+        pt = uniformize(three_state_generator())[0].T.tocsr()
+        pi = np.array([1.0, 0.0, 0.0])
+        plain, products = poisson_series(pt, pi, 60.0, 1e-12)
+        reused, fewer = poisson_series(pt, pi, 60.0, 1e-12, first_step=pt @ pi)
+        assert fewer == products - 1
+        np.testing.assert_array_equal(reused, plain)
 
 
 class TestTransientDistribution:

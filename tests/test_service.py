@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import io
+import json
 import threading
+import urllib.error
+import urllib.request
 from contextlib import redirect_stdout
 
 import pytest
@@ -94,6 +97,11 @@ class TestProtocol:
             )
         with pytest.raises(ValueError, match="rate"):
             normalise_request({"command": "sweep", "scenario": "x", "rate": 0.5})
+        for bad_rate in ("nan", "inf", float("nan"), -1, [0.5]):
+            with pytest.raises(ValueError, match="rate"):
+                normalise_request(
+                    {"command": "transient", "scenario": "x", "rate": bad_rate}
+                )
         with pytest.raises(ValueError, match="pipelined"):
             normalise_request(
                 {"command": "transient", "scenario": "x", "pipelined": True}
@@ -193,6 +201,23 @@ class TestService:
         assert "no-such" in response["error"]
         # A failed request must not poison the server.
         assert client.health()["ok"]
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", -1])
+    def test_non_finite_or_negative_rate_is_a_400(self, service_client, rate):
+        _, client = service_client
+        body = json.dumps(dict(_REQUEST, rate=rate)).encode("utf-8")
+        request = urllib.request.Request(
+            client.url + "/run",
+            data=body,
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(request, timeout=30)
+        assert caught.value.code == 400
+        reply = json.loads(caught.value.read().decode("utf-8"))
+        assert reply["ok"] is False and "rate" in reply["error"]
+        # The rejection must leave the server answering valid requests.
+        assert client.run(dict(_REQUEST, rate=0.4))["ok"]
 
     def test_unknown_path_and_bad_body(self, service_client):
         _, client = service_client

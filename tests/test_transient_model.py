@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import expm
 
 from repro import GprsMarkovModel, GprsModelParameters, traffic_model
 from repro.core.handover import balance_handover_rates
@@ -19,6 +21,7 @@ from repro.transient import (
     flash_crowd,
     outage_recovery,
 )
+from repro.transient.model import _SegmentPropagator
 from repro.validation.transient import check_transient_steady_state
 
 
@@ -184,6 +187,49 @@ class TestEarlyStop:
         assert result.segments[0].stationary_from_s == 0.0
 
 
+def random_generator(seed: int, states: int) -> np.ndarray:
+    """A random CTMC generator with some transitions switched off."""
+    rng = np.random.default_rng(seed)
+    rates = rng.uniform(0.0, 5.0, (states, states))
+    rates[rng.random((states, states)) < 0.3] = 0.0
+    np.fill_diagonal(rates, 0.0)
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    return rates
+
+
+class TestSingleSeriesAdvance:
+    """Each advance is one windowed Poisson series, whatever its mean."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        states=st.integers(2, 6),
+        mean=st.floats(0.01, 5000.0),
+        first_step=st.booleans(),
+    )
+    @example(seed=7, states=5, mean=4321.0, first_step=True)
+    def test_advance_matches_the_matrix_exponential(
+        self, seed, states, mean, first_step
+    ):
+        generator = random_generator(seed, states)
+        propagator = _SegmentPropagator(generator, truncation_tol=1e-12)
+        pi = np.random.default_rng(seed + 1).dirichlet(np.ones(states))
+        dt = mean / propagator.lam
+        stepped = propagator.step(pi) if first_step else None
+        advanced = propagator.advance(pi, dt, first_step=stepped)
+        np.testing.assert_allclose(advanced, pi @ expm(generator * dt), atol=1e-10)
+
+    @pytest.mark.parametrize("mean", [0.5, 5.0, 50.0, 700.0, 4000.0, 2e4])
+    def test_one_advance_costs_one_series(self, mean):
+        """A split into bounded-mean sub-steps would pay one right tail of
+        ~7 sqrt(step mean) products per sub-step and break this bound."""
+        generator = random_generator(3, 4)
+        propagator = _SegmentPropagator(generator, truncation_tol=1e-12)
+        pi = np.full(4, 0.25)
+        propagator.advance(pi, mean / propagator.lam)
+        assert propagator.matvecs <= mean + 8.0 * np.sqrt(mean) + 30.0
+
+
 class TestQuasiStationaryHandover:
     def test_segment_rates_solve_the_segment_balance(self):
         params = mini_parameters()
@@ -269,9 +315,3 @@ class TestResultShape:
             TransientModel(short_profile(), params, truncation_tol=0.0)
         with pytest.raises(ValueError, match="steady_state_tol"):
             TransientModel(short_profile(), params, steady_state_tol=-1.0)
-        with pytest.raises(ValueError, match="max_step_mean"):
-            TransientModel(short_profile(), params, max_step_mean=0.0)
-        # exp(-mean) underflows past ~745: the cap keeps the series weights
-        # representable (a larger step would yield a zero distribution).
-        with pytest.raises(ValueError, match="max_step_mean"):
-            TransientModel(short_profile(), params, max_step_mean=1000.0)
