@@ -1,7 +1,7 @@
-"""Benchmarks of the repetition-reuse pass: coarse correction, propagator
-memoisation, pipelined network scheduling.
+"""Benchmarks of the repetition-reuse pass: coarse correction and propagator
+memoisation.
 
-Three independent hot paths waste work repeated across nearly-identical
+Two independent hot paths waste work repeated across nearly-identical
 solves; each gets an A/B benchmark here, and each records its numbers in the
 ``BENCH_repetition.jsonl`` run ledger (see ``_helpers.persist_timings``):
 
@@ -13,11 +13,6 @@ solves; each gets an A/B benchmark here, and each records its numbers in the
   trajectory must be >= 2x faster once the propagator cache holds its
   segments (measured: the replay skips the entire matvec chain), with
   bitwise-identical sampled series.
-* ``test_pipelined_network_sweep_16pt`` -- a 16-point ``homogeneous-7``
-  sweep scheduled points x cells through one shared pool must be bitwise
-  identical for any job count, and faster than the per-point schedule when
-  more than one core is available (on a single core the two schedules do the
-  same work sequentially, so only the bitwise contract is asserted).
 
 The ``*_smoke`` variants run the same machinery at the smallest sizes for
 the CI ``perf-smoke`` job.
@@ -25,7 +20,6 @@ the CI ``perf-smoke`` job.
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -38,8 +32,7 @@ from repro.core.state_space import GprsStateSpace
 from repro.core.structured_solver import StructuredSolveContext, solve_structured
 from repro.core.template import GeneratorTemplate
 from repro.experiments.scale import ExperimentScale
-from repro.network.sweep import network_sweep_payloads
-from repro.runtime import resilience, scenario
+from repro.runtime import scenario
 from repro.traffic.presets import TRAFFIC_MODEL_3
 from repro.transient import PropagatorCache, TransientModel
 
@@ -185,88 +178,3 @@ def test_propagator_replay_diurnal():
         },
         wall_s=round(cold_seconds + warm_seconds, 4),
     )
-
-
-# ---------------------------------------------------------------------- #
-# (c) Pipelined points x cells network scheduling
-# ---------------------------------------------------------------------- #
-def _sixteen_point_spec():
-    rates = tuple(0.1 + 0.05 * index for index in range(16))
-    return scenario("homogeneous-7").replace(arrival_rates=rates)
-
-
-def test_pipelined_network_sweep_16pt(monkeypatch):
-    """16-point homogeneous-7: bitwise == serial, faster when cores allow.
-
-    Both arms are timed twice, interleaved, and compared on their best runs
-    (the convention of the other wall-clock benchmarks) so one load spike on
-    a shared runner cannot decide the comparison.  The comparison is between
-    two schedules over worker processes, so both arms start their pool at
-    once: left to the pool's start rule, smoke-sized cell solves would stay
-    in-process in either arm and the schedules would not be compared.
-    """
-    monkeypatch.setattr(resilience, "_pool_start_cost_s", lambda: float("-inf"))
-    scale = ExperimentScale.smoke()
-    spec = _sixteen_point_spec()
-    jobs = 2
-
-    sequential_seconds, pipelined_seconds = [], []
-    pipelined = None
-    for _ in range(2):
-        start = time.perf_counter()
-        network_sweep_payloads(spec, scale, jobs=jobs)
-        sequential_seconds.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        pipelined = network_sweep_payloads(spec, scale, jobs=jobs, pipelined=True)
-        pipelined_seconds.append(time.perf_counter() - start)
-    serial = network_sweep_payloads(spec, scale, jobs=1, pipelined=True)
-
-    dispatched = sum(payload["pipelined_jobs"] for payload, _ in pipelined)
-    cores = os.cpu_count() or 1
-    print()
-    print(
-        f"16-point homogeneous-7 (smoke preset, jobs={jobs}, {cores} core(s)): "
-        f"per-point {min(sequential_seconds):.2f}s, "
-        f"pipelined {min(pipelined_seconds):.2f}s "
-        f"({dispatched} jobs through the shared pool)"
-    )
-    assert [payload for payload, _ in pipelined] == [
-        payload for payload, _ in serial
-    ]
-    assert dispatched >= 16 * 7 * 2  # every point, every cell, >= 2 iterations
-    if cores >= 2:
-        # On one core both schedules execute the same work sequentially, so
-        # the pipeline's barrier-filling cannot show up on wall clock.
-        assert min(pipelined_seconds) < min(sequential_seconds)
-
-    persist_timings(
-        "pipelined-network-16pt",
-        {
-            "points": 16,
-            "cells": 7,
-            "jobs": jobs,
-            "cores": cores,
-            "sequential_seconds": round(min(sequential_seconds), 4),
-            "pipelined_seconds": round(min(pipelined_seconds), 4),
-            "dispatched_jobs": dispatched,
-        },
-        wall_s=round(min(sequential_seconds) + min(pipelined_seconds), 4),
-    )
-
-
-def test_pipelined_smoke():
-    """CI smoke: a small pipelined sweep is bitwise independent of jobs."""
-    from repro.network import hexagonal_cluster
-
-    scale = ExperimentScale.smoke()
-    spec = scenario("homogeneous-7").replace(
-        network=hexagonal_cluster(3), arrival_rates=(0.2, 0.4, 0.6, 0.8)
-    )
-    serial = network_sweep_payloads(spec, scale, pipelined=True, jobs=1)
-    parallel = network_sweep_payloads(spec, scale, pipelined=True, jobs=2)
-    print()
-    print(
-        f"4-point 3-cell pipelined smoke: "
-        f"{sum(p['pipelined_jobs'] for p, _ in serial)} jobs, bitwise jobs=1 == jobs=2"
-    )
-    assert [payload for payload, _ in serial] == [payload for payload, _ in parallel]

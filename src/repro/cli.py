@@ -31,10 +31,10 @@ so repeated and incremental runs skip already-solved sweep points.  Sweeps
 are solved incrementally in chunks of adjacent arrival rates that share one
 generator template and warm-start each other (``--chunk-size`` sets the
 chunk length; ``--cold`` disables warm-starting for A/B timing).  Network
-sweeps can additionally pipeline points x cells through one shared job pool
-(``network <name> --pipelined --jobs N``), and transient trajectories serve
-repeated identical segments from the in-process propagator cache (reported
-as "propagator replay(s)").
+sweeps solve their points in rate order, each warm-continued from the
+previous one, with ``--jobs N`` solving the cells of a point in parallel;
+transient trajectories serve repeated identical segments from the
+in-process propagator cache (reported as "propagator replay(s)").
 
 Observability (:mod:`repro.obs`): ``run``, ``sweep``, ``network``,
 ``transient`` and ``solve`` accept ``--trace`` (print hierarchical span
@@ -168,11 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--canonical", action="store_true",
         help="emit the provenance-free canonical JSON (byte-identical "
         "across cold, warm and served runs)",
-    )
-    network_parser.add_argument(
-        "--pipelined", action="store_true",
-        help="schedule points x cells through one shared job pool (points "
-        "solved independently; bitwise identical for any --jobs)",
     )
     # Network sweeps have no point-chunking (cells parallelise within a
     # point), so the --chunk-size knob would be a silent no-op here.
@@ -310,9 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     client_parser.add_argument("--rate", type=float, default=None,
                                help="transient requests: solve only this "
                                "base arrival rate")
-    client_parser.add_argument("--pipelined", action="store_true",
-                               help="network requests: schedule points x "
-                               "cells through the shared pool")
     client_parser.add_argument("--no-request-cache", action="store_true",
                                help="ask the server to bypass its result "
                                "cache for this request (the warm artifact "
@@ -584,7 +576,6 @@ def _client_command(args: argparse.Namespace) -> int:
                     "scenario": args.scenario,
                     "preset": args.preset,
                     "rate": args.rate,
-                    "pipelined": args.pipelined,
                     "cache": not args.no_request_cache,
                 }
             )
@@ -666,7 +657,7 @@ def _spec_payload(args: argparse.Namespace):
 def _obs_args_summary(args: argparse.Namespace) -> dict:
     """The invocation knobs worth persisting in a ledger record."""
     summary = {}
-    for name in ("jobs", "cold", "chunk_size", "pipelined", "rate", "solver",
+    for name in ("jobs", "cold", "chunk_size", "rate", "solver",
                  "no_cache", "json", "canonical", "max_attempts",
                  "task_timeout", "strict", "checkpoint", "inject_faults",
                  "store_dir", "no_store", "warm_seeds"):
@@ -891,7 +882,6 @@ def _execute(args: argparse.Namespace) -> int:
                 jobs=args.jobs,
                 cache=_cache_from_args(args),
                 warm=not args.cold,
-                pipelined=args.pipelined,
                 **_resilience_from_args(args),
             )
         except SweepFailureError as error:

@@ -1,6 +1,6 @@
 """Facade tying the GPRS Markov model together.
 
-:class:`GprsMarkovModel` drives the complete analysis pipeline of the paper for
+:class:`GprsMarkovModel` drives the complete analysis chain of the paper for
 one parameter configuration:
 
 1. balance the incoming handover flows with the Erlang-loss fixed point
@@ -376,7 +376,7 @@ class GprsMarkovModel:
     # Main entry point
     # ------------------------------------------------------------------ #
     def solve(self) -> GprsModelSolution:
-        """Run the full analysis pipeline and return measures plus diagnostics."""
+        """Run the full analysis chain and return measures plus diagnostics."""
         steady_state = self._solve_steady_state()
         measures = compute_measures(
             self._parameters, self.state_space, steady_state.distribution, self.handover_balance

@@ -135,13 +135,11 @@ def format_network_result(result: "NetworkSweepResult", *, precision: int = 5) -
             continue
         status = "converged" if payload["converged"] else "NOT converged"
         frozen = payload.get("frozen_solves", 0)
-        pipelined = payload.get("pipelined_jobs", 0)
         origin = "cache" if point.from_cache else (
             f"{payload['solver_calls']} solver call(s), "
             f"{payload['cold_solves']} cold / "
             f"{payload['solver_calls'] - payload['cold_solves']} warm"
             + (f", {frozen} frozen" if frozen else "")
-            + (f", {pipelined} pipelined" if pipelined else "")
         )
         lines.append("")
         lines.append(

@@ -46,8 +46,8 @@ code path, which keeps parallel runs bitwise identical to serial ones.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -61,11 +61,13 @@ from repro.obs.metrics import absorb_export, current_registry, export_delta
 from repro.obs.trace import current_tracer
 from repro.queueing.fixed_point import fixed_point_iteration
 
+if TYPE_CHECKING:
+    from repro.runtime.resilience import ResilientPool
+
 __all__ = [
     "CellSolution",
     "NetworkModel",
     "NetworkResult",
-    "NetworkSolveDriver",
     "network_erlang_rates",
 ]
 
@@ -115,10 +117,10 @@ def _solve_cell_task(job: tuple) -> tuple[_CellSolve, dict]:
     Top-level so the process pool can pickle it; the serial path calls the
     very same function, which is what keeps ``jobs = N`` bitwise identical to
     serial execution.  Returns ``(solve, metrics_export)``: the export ships
-    a worker registry's delta home, and
-    :meth:`NetworkSolveDriver.absorb` merges it only when it actually
-    crossed a process boundary (the PID guard), so the serial path -- whose
-    counts already landed in the parent registry -- is never double-counted.
+    a worker registry's delta home, and :meth:`NetworkModel.solve` merges it
+    only when it actually crossed a process boundary (the PID guard), so the
+    serial path -- whose counts already landed in the parent registry -- is
+    never double-counted.
     """
     baseline = current_registry().snapshot()
     params, solver, solver_tol, gsm_incoming, gprs_incoming, initial = job
@@ -374,11 +376,9 @@ class NetworkModel:
     pool:
         Optional externally managed pool reused for the cell solves (the
         sweep loop passes one pool across all points so workers keep their
-        scaffold caches warm); the caller owns its lifetime.  Preferably a
-        :class:`~repro.runtime.resilience.ResilientPool` (retries, deadlines
-        and degradation apply); a plain :class:`ProcessPoolExecutor` is still
-        accepted for compatibility and runs without recovery.  When given,
-        ``jobs`` only decides *whether* to use it.
+        scaffold caches warm); the caller owns its lifetime.  A
+        :class:`~repro.runtime.resilience.ResilientPool`, so retries,
+        deadlines and degradation apply.
     warm:
         When ``False`` every cell solve of every outer iteration starts cold
         (no stationary-vector continuation) -- the A/B knob of the network
@@ -415,7 +415,7 @@ class NetworkModel:
         jobs: int = 1,
         warm: bool = True,
         freeze_tol: float | None = None,
-        pool: "ProcessPoolExecutor | object | None" = None,
+        pool: "ResilientPool | None" = None,
         initial_rates: tuple[np.ndarray, np.ndarray] | None = None,
         initial_distributions: tuple[np.ndarray, ...] | None = None,
     ) -> None:
@@ -476,8 +476,31 @@ class NetworkModel:
             SweepFailureError,
         )
 
-        driver = NetworkSolveDriver(self)
         cells = self._topology.number_of_cells
+        cell_params = self.cell_parameters()
+        routing_t = self._topology.routing_matrix().T
+        gsm_in, gprs_in, erlang_iterations, _ = network_erlang_rates(
+            self._topology,
+            cell_params,
+            tol=self._erlang_tol,
+            initial=self._initial_rates,
+        )
+        distributions: list[np.ndarray | None] = (
+            list(self._initial_distributions)
+            if self._initial_distributions is not None
+            else [None] * cells
+        )
+        solves: list[_CellSolve | None] = [None] * cells
+        # Incoming rates each cell's latest actual solve used; the freezing
+        # test compares against these, not the previous iteration's rates, so
+        # slow cumulative drift can never hide behind small per-step moves.
+        solved_gsm = np.full(cells, np.nan)
+        solved_gprs = np.full(cells, np.nan)
+        trace: list[float] = []
+        solver_calls = cold_solves = solver_iterations = frozen_solves = 0
+        converged = False
+        outer = 0
+
         own_pool: ResilientPool | None = None
         pool = self._external_pool
         if pool is None and self._jobs > 1 and cells > 1:
@@ -489,222 +512,119 @@ class NetworkModel:
                 strict=options.strict,
             )
             pool = own_pool
+        registry = current_registry()
         tracer = current_tracer()
         dispatched = 0
         try:
             while True:
-                jobs = driver.next_jobs()
-                with tracer.span(
-                    "network.outer_iteration", cells=len(jobs)
-                ):
-                    if isinstance(pool, ResilientPool) and jobs:
+                outer += 1
+                if self._freeze_tol is None:
+                    active = list(range(cells))
+                else:
+                    freeze_scale = max(
+                        1.0,
+                        float(np.max(np.abs(gsm_in))),
+                        float(np.max(np.abs(gprs_in))),
+                    )
+                    active = [
+                        index
+                        for index in range(cells)
+                        if solves[index] is None
+                        or max(
+                            abs(float(gsm_in[index]) - solved_gsm[index]),
+                            abs(float(gprs_in[index]) - solved_gprs[index]),
+                        )
+                        > self._freeze_tol * freeze_scale
+                    ]
+                jobs = [
+                    (
+                        cell_params[index],
+                        self._solver,
+                        self._solver_tol,
+                        float(gsm_in[index]),
+                        float(gprs_in[index]),
+                        distributions[index] if self._warm else None,
+                    )
+                    for index in active
+                ]
+                with tracer.span("network.outer_iteration", cells=len(jobs)):
+                    if pool is not None and jobs:
                         outcomes = pool.run(
                             _solve_cell_task,
                             jobs,
                             site="cell",
                             indices=range(dispatched, dispatched + len(jobs)),
                         )
-                        new_solves = []
                         for outcome in outcomes:
                             if isinstance(outcome, SweepFailure):
                                 raise SweepFailureError(outcome)
-                            new_solves.append(outcome)
-                    elif pool is not None and len(jobs) > 1:
-                        # Legacy externally managed ProcessPoolExecutor.
-                        new_solves = list(pool.map(_solve_cell_task, jobs))
                     else:
-                        new_solves = [_solve_cell_task(job) for job in jobs]
+                        outcomes = [_solve_cell_task(job) for job in jobs]
                     dispatched += len(jobs)
-                    if driver.absorb(new_solves):
+
+                    # Worker metric exports are merged here, with same-PID
+                    # exports skipped: the serial path already counted
+                    # in-process.
+                    new_solves = []
+                    for solve, export in outcomes:
+                        absorb_export(export, registry)
+                        new_solves.append(solve)
+                    for index, solve in zip(active, new_solves):
+                        solves[index] = solve
+                        solved_gsm[index] = float(gsm_in[index])
+                        solved_gprs[index] = float(gprs_in[index])
+                    new_cold = sum(1 for solve in new_solves if not solve.warm)
+                    solver_calls += len(active)
+                    frozen_solves += cells - len(active)
+                    cold_solves += new_cold
+                    solver_iterations += sum(solve.iterations for solve in new_solves)
+                    distributions = [solve.distribution for solve in solves]
+                    registry.count("network.outer_iterations")
+                    registry.count("network.cell_solves", len(active))
+                    registry.count("network.frozen_solves", cells - len(active))
+                    registry.count("network.cold_solves", new_cold)
+
+                    gsm_out = np.array([solve.gsm_outgoing_rate for solve in solves])
+                    gprs_out = np.array([solve.gprs_outgoing_rate for solve in solves])
+                    new_gsm = routing_t @ gsm_out
+                    new_gprs = routing_t @ gprs_out
+                    scale = max(
+                        1.0,
+                        float(np.max(np.abs(gsm_in))),
+                        float(np.max(np.abs(gprs_in))),
+                    )
+                    drift = float(
+                        max(
+                            np.max(np.abs(new_gsm - gsm_in)),
+                            np.max(np.abs(new_gprs - gprs_in)),
+                        )
+                        / scale
+                    )
+                    trace.append(drift)
+                    # On exit the rates stay at the values the final solves
+                    # used, so the reported incoming rates and measures are
+                    # mutually consistent even when unconverged.
+                    if drift <= self._outer_tol and outer >= self._min_outer:
+                        converged = True
                         break
+                    if outer >= self._max_outer:
+                        break
+                    gsm_in, gprs_in = new_gsm, new_gprs
         finally:
             if own_pool is not None:
                 own_pool.shutdown()
-        return driver.result()
 
-
-class NetworkSolveDriver:
-    """Incremental state machine of one :meth:`NetworkModel.solve`.
-
-    The driver separates *what to compute* from *where to compute it*: it
-    emits the cell-solve jobs of the current CTMC outer iteration
-    (:meth:`next_jobs`), absorbs their results and performs the routed-rate
-    reduction (:meth:`absorb`), and finally assembles the
-    :class:`NetworkResult` (:meth:`result`).  :meth:`NetworkModel.solve`
-    drives one instance to completion; the pipelined sweep scheduler
-    (:func:`repro.network.sweep.network_sweep_payloads` with
-    ``pipelined=True``) interleaves many instances -- one per sweep point --
-    over a single worker pool, so the cells of point ``i + 1`` fill the pool
-    while point ``i``'s outer iteration drains.  Every job is a plain
-    ``_solve_cell_task`` tuple built from this point's own inputs, so results
-    are bitwise independent of which process executes them and in which
-    order the points interleave.
-
-    The Erlang pre-pass runs in the constructor (it is a closed-form,
-    microsecond-scale computation that needs no pool).
-    """
-
-    def __init__(self, model: NetworkModel) -> None:
-        self._model = model
-        self._cells = model._topology.number_of_cells
-        self._cell_params = model.cell_parameters()
-        self._routing_t = model._topology.routing_matrix().T
-        self._gsm_in, self._gprs_in, self._erlang_iterations, _ = network_erlang_rates(
-            model._topology,
-            self._cell_params,
-            tol=model._erlang_tol,
-            initial=model._initial_rates,
-        )
-        self._distributions: list[np.ndarray | None] = (
-            list(model._initial_distributions)
-            if model._initial_distributions is not None
-            else [None] * self._cells
-        )
-        self._trace: list[float] = []
-        self._solver_calls = 0
-        self._cold_solves = 0
-        self._solver_iterations = 0
-        self._frozen_solves = 0
-        self._converged = False
-        self._outer = 0
-        self._done = False
-        self._solves: list[_CellSolve | None] = [None] * self._cells
-        # Incoming rates each cell's latest actual solve used; the freezing
-        # test compares against these, not the previous iteration's rates, so
-        # slow cumulative drift can never hide behind small per-step moves.
-        self._solved_gsm = np.full(self._cells, np.nan)
-        self._solved_gprs = np.full(self._cells, np.nan)
-        self._active: list[int] = []
-
-    @property
-    def done(self) -> bool:
-        return self._done
-
-    def next_jobs(self) -> list[tuple]:
-        """Return the cell-solve jobs of the upcoming outer iteration.
-
-        Each element is a ``_solve_cell_task`` argument tuple; frozen cells
-        (``freeze_tol``) are omitted.  Returns an empty list when every cell
-        is frozen this iteration (the caller still calls :meth:`absorb` with
-        an empty result list) and when the solve is :attr:`done`.
-        """
-        if self._done:
-            return []
-        model = self._model
-        self._outer += 1
-        if model._freeze_tol is None:
-            active = list(range(self._cells))
-        else:
-            freeze_scale = max(
-                1.0,
-                float(np.max(np.abs(self._gsm_in))),
-                float(np.max(np.abs(self._gprs_in))),
-            )
-            active = [
-                index
-                for index in range(self._cells)
-                if self._solves[index] is None
-                or max(
-                    abs(float(self._gsm_in[index]) - self._solved_gsm[index]),
-                    abs(float(self._gprs_in[index]) - self._solved_gprs[index]),
-                )
-                > model._freeze_tol * freeze_scale
-            ]
-        self._active = active
-        return [
-            (
-                self._cell_params[index],
-                model._solver,
-                model._solver_tol,
-                float(self._gsm_in[index]),
-                float(self._gprs_in[index]),
-                self._distributions[index] if model._warm else None,
-            )
-            for index in active
-        ]
-
-    def absorb(self, new_solves: list) -> bool:
-        """Fold one outer iteration's cell solves back into the fixed point.
-
-        ``new_solves`` must align with the job list of the latest
-        :meth:`next_jobs` call; each element is the ``(solve, export)`` pair
-        :func:`_solve_cell_task` returns (bare :class:`_CellSolve` values are
-        also accepted).  Worker metric exports are merged into this process's
-        registry here -- the single seam both :meth:`NetworkModel.solve` and
-        the pipelined scheduler flow through -- with same-PID exports skipped
-        (the serial path already counted in-process).  Returns ``True`` when
-        the solve is finished (converged past ``min_outer`` iterations, or
-        budget exhausted -- in which case the rates are left at the values
-        the final solves actually used, so the reported incoming rates and
-        measures stay mutually consistent even unconverged).
-        """
-        model = self._model
-        registry = current_registry()
-        unwrapped = []
-        for item in new_solves:
-            if isinstance(item, tuple):
-                solve, export = item
-                absorb_export(export, registry)
-            else:
-                solve = item
-            unwrapped.append(solve)
-        new_solves = unwrapped
-        for index, solve in zip(self._active, new_solves):
-            self._solves[index] = solve
-            self._solved_gsm[index] = float(self._gsm_in[index])
-            self._solved_gprs[index] = float(self._gprs_in[index])
-        self._solver_calls += len(self._active)
-        self._frozen_solves += self._cells - len(self._active)
-        self._cold_solves += sum(1 for solve in new_solves if not solve.warm)
-        self._solver_iterations += sum(solve.iterations for solve in new_solves)
-        self._distributions = [solve.distribution for solve in self._solves]
-        registry.count("network.outer_iterations")
-        registry.count("network.cell_solves", len(self._active))
-        registry.count("network.frozen_solves", self._cells - len(self._active))
-        registry.count(
-            "network.cold_solves",
-            sum(1 for solve in new_solves if not solve.warm),
-        )
-
-        gsm_out = np.array([solve.gsm_outgoing_rate for solve in self._solves])
-        gprs_out = np.array([solve.gprs_outgoing_rate for solve in self._solves])
-        new_gsm = self._routing_t @ gsm_out
-        new_gprs = self._routing_t @ gprs_out
-        scale = max(
-            1.0,
-            float(np.max(np.abs(self._gsm_in))),
-            float(np.max(np.abs(self._gprs_in))),
-        )
-        drift = float(
-            max(
-                np.max(np.abs(new_gsm - self._gsm_in)),
-                np.max(np.abs(new_gprs - self._gprs_in)),
-            )
-            / scale
-        )
-        self._trace.append(drift)
-        if drift <= model._outer_tol and self._outer >= model._min_outer:
-            self._converged = True
-            self._done = True
-        elif self._outer >= model._max_outer:
-            self._done = True
-        else:
-            self._gsm_in, self._gprs_in = new_gsm, new_gprs
-        return self._done
-
-    def result(self) -> NetworkResult:
-        """Assemble the :class:`NetworkResult` of the finished solve."""
         solutions = tuple(
             CellSolution(
                 index=index,
-                parameters=self._cell_params[index],
+                parameters=cell_params[index],
                 measures=solve.measures,
-                gsm_incoming_rate=float(self._gsm_in[index]),
-                gprs_incoming_rate=float(self._gprs_in[index]),
+                gsm_incoming_rate=float(gsm_in[index]),
+                gprs_incoming_rate=float(gprs_in[index]),
                 gsm_outgoing_rate=solve.gsm_outgoing_rate,
                 gprs_outgoing_rate=solve.gprs_outgoing_rate,
             )
-            for index, solve in enumerate(self._solves)
+            for index, solve in enumerate(solves)
         )
         measure_dicts = [solution.measures.as_dict() for solution in solutions]
         aggregates = {
@@ -712,17 +632,17 @@ class NetworkSolveDriver:
             for key in measure_dicts[0]
         }
         return NetworkResult(
-            topology=self._model._topology,
-            base_parameters=self._model._base,
+            topology=self._topology,
+            base_parameters=self._base,
             cells=solutions,
             aggregates=aggregates,
-            outer_iterations=self._outer,
-            converged=self._converged,
-            convergence_trace=tuple(self._trace),
-            erlang_iterations=self._erlang_iterations,
-            solver_calls=self._solver_calls,
-            cold_solves=self._cold_solves,
-            solver_iterations=self._solver_iterations,
-            distributions=tuple(self._distributions),
-            frozen_solves=self._frozen_solves,
+            outer_iterations=outer,
+            converged=converged,
+            convergence_trace=tuple(trace),
+            erlang_iterations=erlang_iterations,
+            solver_calls=solver_calls,
+            cold_solves=cold_solves,
+            solver_iterations=solver_iterations,
+            distributions=tuple(distributions),
+            frozen_solves=frozen_solves,
         )

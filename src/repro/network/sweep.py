@@ -9,19 +9,6 @@ one's Erlang pre-pass with its converged rates and warm-starts even the first
 CTMC outer iteration with the previous point's stationary vectors, while the
 cells *within* a point are solved in parallel (``jobs``).
 
-With ``pipelined=True`` the sweep switches to the **two-level scheduler**
-(:func:`repro.runtime.executor.drive_pipelined`): every uncached point
-becomes a :class:`~repro.network.model.NetworkSolveDriver` and all the
-points' cell solves share one worker pool -- the cells of point ``i + 1``
-start while point ``i``'s outer iteration drains, so the pool never idles at
-iteration barriers or between points.  Pipelined points are solved
-independently (each still warm-starts its *own* outer iterations, but the
-cross-point continuation is off -- it would serialise the pipeline), which
-is exactly what keeps the schedule bitwise identical to its own serial
-execution regardless of ``jobs`` and of how the points interleave; values
-differ from the warm-continued sequential path only within solver tolerance,
-like every other warm/cold provenance difference.
-
 Each solved point is stored in the content-addressed result cache under a key
 that hashes the effective base-cell parameters *plus the topology digest*
 (routing matrix and per-cell overrides), with the computation kind set to
@@ -111,20 +98,6 @@ class NetworkSweepResult:
     def arrival_rates(self) -> tuple[float, ...]:
         return tuple(point.arrival_rate for point in self.points)
 
-    @property
-    def pipelined_jobs(self) -> int:
-        """Cell-solve jobs routed through the two-level pipelined scheduler.
-
-        0 for sequential (per-point) sweeps and for fully cache-served runs;
-        cached payloads report the provenance of the run that produced them,
-        exactly like ``solver_calls``.
-        """
-        return sum(
-            point.payload.get("pipelined_jobs", 0)
-            for point in self.points
-            if point.payload is not None
-        )
-
     def series(self, metric: str) -> tuple[float, ...]:
         """The network-mean of ``metric`` across the sweep."""
         return tuple(point.aggregate(metric) for point in self.points)
@@ -156,7 +129,6 @@ def network_sweep_payloads(
     jobs: int = 1,
     cache: "ResultCache | None" = None,
     warm: bool = True,
-    pipelined: bool = False,
     retry=None,
     task_timeout: float | None = None,
     strict: bool = False,
@@ -166,21 +138,16 @@ def network_sweep_payloads(
     """Solve every point of a network scenario sweep, cache-aware.
 
     ``pool`` injects an externally owned
-    :class:`~repro.runtime.resilience.ResilientPool` for the sequential
-    (non-pipelined) path -- the long-lived service uses it so its workers
-    (and their per-process scaffold caches) survive across requests.  An
-    injected pool is never shut down here; without one, the sweep creates
-    and owns its own pool as before.
+    :class:`~repro.runtime.resilience.ResilientPool` -- the long-lived
+    service uses it so its workers (and their per-process scaffold caches)
+    survive across requests.  An injected pool is never shut down here;
+    without one, the sweep creates and owns its own pool.
 
     Returns one ``(payload, from_cache)`` pair per arrival rate, in sweep
     order; payloads are :meth:`~repro.network.model.NetworkResult.as_dict`
     renderings.  ``warm=False`` disables both the point-to-point continuation
     and the within-point warm starts across outer iterations (the ``--cold``
-    A/B knob); values shift only within solver tolerance.  ``pipelined=True``
-    schedules points x cells through one shared job pool (see the module
-    docstring): points solve independently, their payloads gain a
-    ``pipelined_jobs`` provenance counter, and results are bitwise identical
-    for any ``jobs`` (ordered reassembly, per-point state isolation).
+    A/B knob); values shift only within solver tolerance.
 
     Cell solves run under ``retry`` / ``task_timeout``
     (:mod:`repro.runtime.resilience`); a point whose solve fails terminally
@@ -194,7 +161,6 @@ def network_sweep_payloads(
     from repro.runtime.cache import result_key
     from repro.runtime.resilience import (
         ResilientPool,
-        SweepFailure,
         SweepFailureError,
         checkpointed_get,
         payload_digest,
@@ -219,80 +185,6 @@ def network_sweep_payloads(
             kind="network",
             network=topology_dict,
         )
-
-    def store(index: int, key: str | None, payload: dict, writable: bool) -> bool:
-        if cache is not None and writable and key is not None:
-            try:
-                cache.put(key, payload)
-            except OSError:
-                # An unwritable cache stops persisting but keeps serving
-                # reads -- same degradation as the single-cell executor.
-                return False
-            if checkpoint is not None:
-                checkpoint.record(
-                    site="network",
-                    index=index,
-                    key=key,
-                    digest=payload_digest(payload),
-                )
-        return writable
-
-    if pipelined:
-        from repro.network.model import NetworkSolveDriver, _solve_cell_task
-        from repro.runtime.executor import drive_pipelined
-
-        ordered: list[tuple[dict | None, bool] | None] = [None] * len(rates)
-        misses: list[tuple[int, str | None]] = []
-        drivers: list[NetworkSolveDriver] = []
-        for index, rate in enumerate(rates):
-            params = base.with_arrival_rate(rate)
-            key = key_for(params)
-            payload = checkpointed_get(cache, key, checkpoint)
-            if payload is not None:
-                ordered[index] = (payload, True)
-                continue
-            misses.append((index, key))
-            drivers.append(
-                NetworkSolveDriver(
-                    NetworkModel(
-                        topology,
-                        params,
-                        solver_method=spec.solver,
-                        solver_tol=solver_tol,
-                        warm=warm,
-                    )
-                )
-            )
-        writable = True
-        payloads: dict[int, dict] = {}
-
-        def persist(position: int, result) -> None:
-            # Fires as each driver finishes, so completed points are stored
-            # and checkpointed before a later strict failure aborts the run.
-            nonlocal writable
-            index, key = misses[position]
-            payload = result.as_dict()
-            payload["pipelined_jobs"] = result.solver_calls
-            payloads[position] = payload
-            writable = store(index, key, payload, writable)
-
-        solved, _ = drive_pipelined(
-            drivers,
-            _solve_cell_task,
-            jobs,
-            site="cell",
-            retry=retry,
-            task_timeout=task_timeout,
-            strict=strict,
-            on_complete=persist,
-        )
-        for position, ((index, _key), outcome) in enumerate(zip(misses, solved)):
-            if isinstance(outcome, SweepFailure):
-                report_failure(dc_replace(outcome, points=(index,)))
-                ordered[index] = (None, False)
-                continue
-            ordered[index] = (payloads[position], False)
-        return ordered
 
     # One pool serves every point of the sweep: the workers stay alive, so
     # their per-process scaffold caches (templates, structured contexts)
@@ -348,7 +240,21 @@ def network_sweep_payloads(
                 results.append((None, False))
                 continue
             payload = result.as_dict()
-            writable = store(index, key, payload, writable)
+            if writable and key is not None:
+                try:
+                    cache.put(key, payload)
+                except OSError:
+                    # An unwritable cache stops persisting but keeps serving
+                    # reads -- same degradation as the single-cell executor.
+                    writable = False
+                else:
+                    if checkpoint is not None:
+                        checkpoint.record(
+                            site="network",
+                            index=index,
+                            key=key,
+                            digest=payload_digest(payload),
+                        )
             if warm:
                 seed_rates = result.incoming_rates()
                 seed_distributions = result.distributions
@@ -366,7 +272,6 @@ def run_network_sweep(
     jobs: int | None = None,
     cache: "ResultCache | None | str" = "ambient",
     warm: bool | None = None,
-    pipelined: bool | None = None,
     retry=None,
     task_timeout: float | None = None,
     strict: bool | None = None,
@@ -375,13 +280,12 @@ def run_network_sweep(
 ) -> NetworkSweepResult:
     """Run one network scenario sweep and return its per-cell points.
 
-    The ``jobs`` / ``cache`` / ``warm`` / ``pipelined`` arguments -- and the
+    The ``jobs`` / ``cache`` / ``warm`` arguments -- and the
     resilience knobs ``retry`` / ``task_timeout`` / ``strict`` /
     ``checkpoint`` -- resolve against the ambient
     :func:`~repro.runtime.executor.execution_options` exactly like
     :func:`~repro.runtime.executor.run_sweep`; ``jobs`` parallelises the
-    cells within each point, or -- with ``pipelined`` -- all points' cells
-    through one shared pool.  Terminal per-point failures land in
+    cells within each point.  Terminal per-point failures land in
     :attr:`NetworkSweepResult.failures` (their points carry
     ``payload=None``) unless ``strict``.
     """
@@ -394,7 +298,6 @@ def run_network_sweep(
     effective_jobs = options.jobs if jobs is None else jobs
     effective_cache = options.cache if cache == "ambient" else cache
     effective_warm = options.warm if warm is None else warm
-    effective_pipelined = options.pipelined if pipelined is None else pipelined
     effective_retry = options.retry if retry is None else retry
     effective_timeout = options.task_timeout if task_timeout is None else task_timeout
     effective_strict = options.strict if strict is None else strict
@@ -407,7 +310,6 @@ def run_network_sweep(
             jobs=effective_jobs,
             cache=effective_cache,
             warm=effective_warm,
-            pipelined=effective_pipelined,
             retry=effective_retry,
             task_timeout=effective_timeout,
             strict=effective_strict,

@@ -4,7 +4,7 @@ One :class:`MetricsRegistry` per process collects everything the engines
 already count ad hoc -- structured-solver sweeps and coarse-space
 engagements, generator-template builds vs. rewrites, result- and
 propagator-cache hits/misses/bytes, warm vs. cold solves, uniformisation
-matvecs, executor chunk and pipeline occupancy -- under three metric types:
+matvecs, executor chunk sizes and pool width -- under three metric types:
 
 ``counter``
     Monotonic event counts.  Merging sums them.
@@ -13,8 +13,8 @@ matvecs, executor chunk and pipeline occupancy -- under three metric types:
     Merging keeps the incoming value per worker-qualified name; unqualified
     merges overwrite.
 ``histogram``
-    Count/sum/min/max summaries of observed values (chunk sizes, pipeline
-    round widths).  Merging combines the summaries exactly.
+    Count/sum/min/max summaries of observed values (chunk sizes).  Merging
+    combines the summaries exactly.
 
 Worker processes of a sweep each hold their own registry (module state does
 not cross the ``ProcessPoolExecutor`` boundary).  A worker task therefore

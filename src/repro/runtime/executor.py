@@ -77,7 +77,6 @@ __all__ = [
     "ScenarioRunResult",
     "SweepPoint",
     "current_options",
-    "drive_pipelined",
     "execution_options",
     "run_sweep",
     "sweep_measure_dicts",
@@ -114,12 +113,6 @@ class ExecutionOptions:
         chunk of adjacent arrival rates.
     chunk_size:
         Points per warm-started chunk (also the parallel scheduling unit).
-    pipelined:
-        Network sweeps only: schedule points x cells through one shared job
-        pool (:func:`drive_pipelined`) instead of solving the points
-        sequentially.  Points are then solved independently (no cross-point
-        continuation), which keeps the pipeline bitwise identical to its own
-        serial execution; single-cell and transient sweeps ignore the flag.
     retry:
         The :class:`~repro.runtime.resilience.RetryPolicy` applied to every
         chunk/cell/trajectory task (``None`` = the default policy).
@@ -142,7 +135,6 @@ class ExecutionOptions:
     cache: ResultCache | None = None
     warm: bool = True
     chunk_size: int = DEFAULT_CHUNK_SIZE
-    pipelined: bool = False
     retry: RetryPolicy | None = None
     task_timeout: float | None = None
     strict: bool = False
@@ -171,7 +163,6 @@ def execution_options(
     cache: ResultCache | None = None,
     warm: bool = True,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    pipelined: bool = False,
     retry: RetryPolicy | None = None,
     task_timeout: float | None = None,
     strict: bool = False,
@@ -185,7 +176,6 @@ def execution_options(
             cache=cache,
             warm=warm,
             chunk_size=chunk_size,
-            pipelined=pipelined,
             retry=retry,
             task_timeout=task_timeout,
             strict=strict,
@@ -197,181 +187,6 @@ def execution_options(
         yield
     finally:
         _OPTIONS.reset(token)
-
-
-# ---------------------------------------------------------------------- #
-# Two-level pipelined scheduling of incremental solve drivers
-# ---------------------------------------------------------------------- #
-def drive_pipelined(
-    drivers: list,
-    worker,
-    jobs: int,
-    *,
-    site: str = "cell",
-    retry: RetryPolicy | None = None,
-    task_timeout: float | None = None,
-    strict: bool = False,
-    on_complete=None,
-) -> tuple[list, int]:
-    """Drive several incremental solve drivers through one shared job pool.
-
-    A *driver* is a solve broken into schedulable rounds: ``next_jobs()``
-    returns the picklable argument tuples of its next round (empty when
-    nothing needs solving this round), ``absorb(results)`` folds the round's
-    results back in and returns ``True`` once the solve is finished, and
-    ``result()`` assembles the final value
-    (:class:`repro.network.model.NetworkSolveDriver` is the canonical
-    implementation).  ``worker`` is the top-level function applied to each
-    job tuple.
-
-    With ``jobs > 1`` every driver's current round is in flight on one shared
-    :class:`ProcessPoolExecutor` simultaneously -- the two-level pipeline: as
-    one driver's round drains, the other drivers' jobs keep the workers busy,
-    and a finished round immediately submits its successor.  Reductions
-    (``absorb``) always run in this process, each driver's rounds stay
-    strictly ordered, and each job is built from its own driver's state
-    alone, so the computation is bitwise identical to the serial path
-    (``jobs <= 1``), which executes the very same rounds driver by driver in
-    list order.
-
-    Returns ``(results, dispatched)`` where ``results`` is in driver order
-    and ``dispatched`` counts the job tuples routed through the scheduler.
-
-    Execution is fault tolerant: each job runs under ``retry`` (and, in
-    parallel mode, ``task_timeout``) through a
-    :class:`~repro.runtime.resilience.ResilientPool`, with jobs indexed by
-    their global dispatch ordinal for deterministic fault injection.  A
-    driver whose job exhausts its attempts yields its
-    :class:`~repro.runtime.resilience.SweepFailure` in place of a result
-    (``strict`` raises instead); the other drivers still complete.
-
-    ``on_complete(index, result)`` -- when given -- fires the moment driver
-    ``index`` finishes (never for a failed driver), so callers can persist
-    completed work *before* a later strict failure aborts the run.
-    """
-    dispatched = 0
-    completed: dict[int, object] = {}
-
-    def finish(index: int, driver) -> None:
-        completed[index] = driver.result()
-        if on_complete is not None:
-            on_complete(index, completed[index])
-
-    def advance(driver, round_results) -> list[tuple]:
-        """Absorb one round, then return the next round's jobs.
-
-        Skips through rounds that need no work (e.g. fully frozen outer
-        iterations) so the caller only ever sees non-empty rounds or
-        completion.
-        """
-        nonlocal dispatched
-        finished = driver.absorb(round_results)
-        while not finished:
-            round_jobs = driver.next_jobs()
-            if round_jobs:
-                dispatched += len(round_jobs)
-                return round_jobs
-            finished = driver.absorb([])
-        return []
-
-    def first_round(driver) -> list[tuple]:
-        nonlocal dispatched
-        round_jobs = driver.next_jobs()
-        if not round_jobs:
-            # A first round with nothing to solve: absorb it (advance counts
-            # any subsequent rounds itself).
-            return advance(driver, []) if not driver.done else []
-        dispatched += len(round_jobs)
-        return round_jobs
-
-    failed: dict[int, SweepFailure] = {}
-
-    if jobs <= 1 or not drivers:
-        runner = ResilientPool(1, policy=retry, strict=strict)
-        for index, driver in enumerate(drivers):
-            round_jobs = first_round(driver)
-            while round_jobs:
-                base = dispatched - len(round_jobs)
-                outcomes = runner.run(
-                    worker,
-                    round_jobs,
-                    site=site,
-                    indices=range(base, dispatched),
-                )
-                failure = next(
-                    (o for o in outcomes if isinstance(o, SweepFailure)), None
-                )
-                if failure is not None:
-                    failed[index] = failure
-                    break
-                round_jobs = advance(driver, outcomes)
-            if index not in failed:
-                finish(index, driver)
-        current_registry().count("executor.pipeline.dispatched", dispatched)
-        return [
-            failed[index] if index in failed else completed[index]
-            for index in range(len(drivers))
-        ], dispatched
-
-    rounds: dict[int, list] = {}
-    outstanding: dict[int, int] = {}
-    inflight = 0
-
-    registry = current_registry()
-    registry.gauge("executor.pool_width", jobs)
-    runner = ResilientPool(
-        jobs, policy=retry, task_timeout=task_timeout, strict=strict
-    )
-
-    def submit_round(index: int, round_jobs: list[tuple]) -> None:
-        nonlocal inflight
-        base = dispatched - len(round_jobs)
-        rounds[index] = [None] * len(round_jobs)
-        outstanding[index] = len(round_jobs)
-        for position, job in enumerate(round_jobs):
-            runner.submit(
-                worker, job, site=site, index=base + position, tag=(index, position)
-            )
-        inflight += len(round_jobs)
-
-    with current_tracer().span(
-        "executor.pipeline", drivers=len(drivers), jobs=jobs
-    ), runner:
-        for index, driver in enumerate(drivers):
-            round_jobs = first_round(driver)
-            if round_jobs:
-                submit_round(index, round_jobs)
-            else:
-                finish(index, driver)
-        while inflight:
-            batch = runner.poll()
-            inflight -= len(batch)
-            registry.observe("executor.pipeline.in_flight", inflight)
-            touched = set()
-            for (index, position), outcome in batch:
-                if index in failed:
-                    continue  # late results of a driver that already failed
-                if isinstance(outcome, SweepFailure):
-                    failed[index] = outcome
-                    rounds.pop(index, None)
-                    outstanding.pop(index, None)
-                    continue
-                rounds[index][position] = outcome
-                outstanding[index] -= 1
-                touched.add(index)
-            for index in touched:
-                if index not in failed and outstanding.get(index) == 0:
-                    next_jobs = advance(drivers[index], rounds.pop(index))
-                    outstanding.pop(index)
-                    if next_jobs:
-                        submit_round(index, next_jobs)
-                    else:
-                        finish(index, drivers[index])
-    registry.count("executor.pipeline.dispatched", dispatched)
-    return [
-        failed[index] if index in failed else completed[index]
-        for index in range(len(drivers))
-    ], dispatched
 
 
 # ---------------------------------------------------------------------- #
@@ -775,7 +590,6 @@ def run_sweep(
     cache: ResultCache | None | str = "ambient",
     warm: bool | None = None,
     chunk_size: int | None = None,
-    pipelined: bool | None = None,
     retry: RetryPolicy | None = None,
     task_timeout: float | None = None,
     strict: bool | None = None,
@@ -801,10 +615,6 @@ def run_sweep(
     warm, chunk_size:
         Sweep-aware incremental solving knobs (see :class:`ExecutionOptions`);
         ``None`` takes the ambient values.
-    pipelined:
-        Network scenarios only (see :class:`ExecutionOptions`); ``None``
-        takes the ambient value, and explicitly enabling it for a
-        single-cell or transient scenario is rejected.
     retry, task_timeout, strict, checkpoint:
         Fault-tolerance knobs (see :class:`ExecutionOptions`); ``None``
         takes the ambient values.  Failed points come back marked
@@ -820,9 +630,8 @@ def run_sweep(
 
     Network scenarios (a topology attached to the spec) run through
     :func:`repro.network.sweep.network_sweep_payloads` instead: each point is
-    a joint multi-cell solve, ``jobs`` parallelises the cells within a point
-    (or, with ``pipelined=True``, points x cells share one job pool), and
-    the returned values are the network-mean measures (use
+    a joint multi-cell solve, ``jobs`` parallelises the cells within a point,
+    and the returned values are the network-mean measures (use
     :func:`repro.network.sweep.run_network_sweep` for per-cell detail).
 
     Transient scenarios (a workload profile attached to the spec) run through
@@ -841,7 +650,6 @@ def run_sweep(
     effective_cache = options.cache if cache == "ambient" else cache
     effective_warm = options.warm if warm is None else warm
     effective_chunk = options.chunk_size if chunk_size is None else chunk_size
-    effective_pipelined = options.pipelined if pipelined is None else pipelined
     effective_retry = options.retry if retry is None else retry
     effective_timeout = options.task_timeout if task_timeout is None else task_timeout
     effective_strict = options.strict if strict is None else strict
@@ -851,13 +659,6 @@ def run_sweep(
     )
 
     rates = spec.sweep_rates(scale)
-    if spec.network is None and pipelined:
-        # Pipelining schedules points x cells; without cells there is no
-        # second level, so rejecting the knob beats silently ignoring it.
-        raise ValueError(
-            "pipelined applies only to network scenarios; single-cell and "
-            "transient sweeps already parallelise across whole points"
-        )
     with collect_failures() as failures:
         if spec.network is not None:
             from repro.network.sweep import network_sweep_payloads
@@ -876,7 +677,6 @@ def run_sweep(
                 jobs=effective_jobs,
                 cache=effective_cache,
                 warm=effective_warm,
-                pipelined=effective_pipelined,
                 retry=effective_retry,
                 task_timeout=effective_timeout,
                 strict=effective_strict,

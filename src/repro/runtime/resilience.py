@@ -1,8 +1,7 @@
 """Fault-tolerant task execution: retries, deadlines, respawn, checkpoints.
 
 The execution seams (:func:`repro.runtime.executor.sweep_measure_dicts`,
-:func:`repro.runtime.executor.drive_pipelined`, the network and transient
-sweeps) all reduce to the same shape: a list of *pure* task payloads whose
+the network and transient sweeps) all reduce to the same shape: a list of *pure* task payloads whose
 results are reassembled in order.  Purity is what makes resilience cheap --
 a retried task re-runs the identical payload and produces the identical
 bytes, so recovering from a crashed worker can never change numbers, only
@@ -61,10 +60,10 @@ provable in tests; with no plan active, submission cost is one contextvar
 read.
 
 Worker processes are started through a **forkserver** context rather than
-bare ``fork``.  The service tier (and ``drive_pipelined``) submit from a
-multithreaded parent, and forking a multithreaded CPython process is
-unsound: the child can deadlock inside ``threading._after_fork`` before it
-ever reaches the executor's work loop -- an alive-but-wedged worker that
+bare ``fork``.  The service tier submits from a multithreaded parent,
+and forking a multithreaded CPython process is unsound: the child can
+deadlock inside ``threading._after_fork`` before it ever reaches the
+executor's work loop -- an alive-but-wedged worker that
 never raises ``BrokenProcessPool``, so its future pends forever.  The
 forkserver is a single-threaded fork parent, which removes the race
 entirely; preloading the solver modules into it keeps per-worker startup
@@ -417,9 +416,9 @@ class _Task:
 class ResilientPool:
     """Retrying, deadline-enforcing executor over pure task payloads.
 
-    ``submit``/``poll`` expose the streaming interface the pipelined
-    scheduler needs; :meth:`run` is the ordered batch helper the chunk and
-    trajectory seams use.  Outcomes are either the worker's return value or
+    ``submit``/``poll`` expose the streaming interface the chunk and
+    trajectory seams use to keep the pool full; :meth:`run` is the ordered
+    batch helper built on them (one network outer iteration is one call).  Outcomes are either the worker's return value or
     a :class:`SweepFailure`; under ``strict`` the first failure raises
     :class:`SweepFailureError` instead.
 

@@ -36,6 +36,9 @@ PROTOCOL_VERSION = 1
 #: Commands a service request may dispatch (mirrors the CLI subcommands).
 COMMANDS = ("sweep", "network", "transient")
 
+#: Every key a request may carry; any other key is rejected, not ignored.
+REQUEST_KEYS = ("command", "scenario", "preset", "rate", "cache")
+
 # Result-level provenance: cache bookkeeping of the run itself.
 _RESULT_STRIP = ("cache",)
 # Point-level provenance: whether this point was served from the cache.
@@ -54,7 +57,6 @@ _NETWORK_STRIP = (
     "solver_calls",
     "cold_solves",
     "frozen_solves",
-    "pipelined_jobs",
 )
 
 
@@ -109,6 +111,12 @@ def normalise_request(request: dict) -> dict:
     """
     if not isinstance(request, dict):
         raise ValueError("request must be a JSON object")
+    unknown = sorted(key for key in request if key not in REQUEST_KEYS)
+    if unknown:
+        raise ValueError(
+            f"unknown request key(s) {', '.join(map(repr, unknown))}; "
+            f"expected only {', '.join(REQUEST_KEYS)}"
+        )
     command = request.get("command")
     if command not in COMMANDS:
         raise ValueError(
@@ -130,16 +138,16 @@ def normalise_request(request: dict) -> dict:
             raise ValueError(f"'rate' must be finite and non-negative, not {rate!r}")
         if command != "transient":
             raise ValueError("'rate' applies only to transient requests")
-    pipelined = bool(request.get("pipelined", False))
-    if pipelined and command != "network":
-        raise ValueError("'pipelined' applies only to network requests")
+    cache = request.get("cache", True)
+    if not isinstance(cache, bool):
+        # bool("false") is True: only a JSON boolean may switch the cache.
+        raise ValueError(f"'cache' must be true or false, not {cache!r}")
     return {
         "command": command,
         "scenario": scenario,
         "preset": preset,
         "rate": rate,
-        "pipelined": pipelined,
-        "cache": bool(request.get("cache", True)),
+        "cache": cache,
     }
 
 

@@ -300,7 +300,6 @@ class ScenarioService:
                 jobs=self._jobs,
                 cache=cache,
                 warm=True,
-                pipelined=request["pipelined"],
                 pool=self._thread_pool(),
                 task_timeout=timeout,
             )

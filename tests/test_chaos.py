@@ -1,6 +1,6 @@
 """Chaos tests: injected faults must never change the numbers.
 
-Each test runs one execution seam (chunked sweep, pipelined network solve,
+Each test runs one execution seam (chunked sweep, network sweep,
 transient trajectories) twice -- fault-free and under an injected fault plan
 -- and asserts the recovered run is equal to the clean one.  Worker-kill
 faults are bitwise-equal by construction (the retried payload is pure);
@@ -138,26 +138,24 @@ class TestSweepCheckpointResume:
 
 
 class TestNetworkChaos:
-    def test_pipelined_cell_timeout_recovers_equal(self):
+    def test_cell_timeout_recovers_equal(self):
         spec = scenario("heterogeneous-radio")
-        clean = run_network_sweep(spec, scale=SMOKE, jobs=2, cache=None,
-                                  pipelined=True)
+        clean = run_network_sweep(spec, scale=SMOKE, jobs=2, cache=None)
         with inject_faults("cell@2=timeout:3"):
             chaos = run_network_sweep(
-                spec, scale=SMOKE, jobs=2, cache=None, pipelined=True,
+                spec, scale=SMOKE, jobs=2, cache=None,
                 task_timeout=1.0, retry=FAST,
             )
         assert chaos.failures == ()
         for clean_point, chaos_point in zip(clean.points, chaos.points):
             assert clean_point.payload == chaos_point.payload
 
-    def test_pipelined_cell_kill_recovers_equal(self):
+    def test_cell_kill_recovers_equal(self):
         spec = scenario("heterogeneous-radio")
-        clean = run_network_sweep(spec, scale=SMOKE, jobs=2, cache=None,
-                                  pipelined=True)
+        clean = run_network_sweep(spec, scale=SMOKE, jobs=2, cache=None)
         with inject_faults("cell@1=kill"):
             chaos = run_network_sweep(
-                spec, scale=SMOKE, jobs=2, cache=None, pipelined=True, retry=FAST,
+                spec, scale=SMOKE, jobs=2, cache=None, retry=FAST,
             )
         assert chaos.failures == ()
         for clean_point, chaos_point in zip(clean.points, chaos.points):

@@ -151,82 +151,6 @@ class TestNetworkSweep:
         assert payload["scenario"]["name"] == "hotspot-cluster"
 
 
-class TestPipelinedSweep:
-    """The two-level points x cells scheduler of network sweeps."""
-
-    def test_pipelined_parallel_is_bitwise_identical_to_serial(self):
-        scale = ExperimentScale.smoke()
-        spec = _smoke_spec()
-        serial = network_sweep_payloads(spec, scale, pipelined=True, jobs=1)
-        parallel = network_sweep_payloads(spec, scale, pipelined=True, jobs=2)
-        assert [payload for payload, _ in serial] == [
-            payload for payload, _ in parallel
-        ]
-
-    def test_pipelined_payloads_carry_the_job_counter(self):
-        scale = ExperimentScale.smoke()
-        spec = _smoke_spec()
-        pipelined = network_sweep_payloads(spec, scale, pipelined=True)
-        sequential = network_sweep_payloads(spec, scale)
-        for payload, _ in pipelined:
-            assert payload["pipelined_jobs"] == payload["solver_calls"] > 0
-        for payload, _ in sequential:
-            assert "pipelined_jobs" not in payload
-
-    def test_pipelined_matches_sequential_within_solver_tolerance(self):
-        """Dropping the cross-point continuation only moves values within tol."""
-        scale = ExperimentScale.smoke()
-        spec = _smoke_spec()
-        sequential = network_sweep_payloads(spec, scale)
-        pipelined = network_sweep_payloads(spec, scale, pipelined=True)
-        for (a, _), (b, _) in zip(sequential, pipelined):
-            for key, value in a["aggregates"].items():
-                assert b["aggregates"][key] == pytest.approx(
-                    value, rel=1e-7, abs=1e-8
-                )
-
-    def test_pipelined_cache_round_trip(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        scale = ExperimentScale.smoke()
-        spec = _smoke_spec()
-        first = network_sweep_payloads(spec, scale, cache=cache, pipelined=True)
-        assert all(not hit for _, hit in first)
-        second = network_sweep_payloads(spec, scale, cache=cache, pipelined=True)
-        assert all(hit for _, hit in second)
-        assert [payload for payload, _ in second] == [payload for payload, _ in first]
-        # Pipelined and sequential runs share keys (provenance is not hashed).
-        third = network_sweep_payloads(spec, scale, cache=cache)
-        assert all(hit for _, hit in third)
-
-    def test_run_network_sweep_reports_pipelined_jobs(self):
-        result = run_network_sweep(
-            _smoke_spec(), ExperimentScale.smoke(), cache=None, pipelined=True
-        )
-        assert result.pipelined_jobs == sum(
-            point.payload["solver_calls"] for point in result.points
-        )
-        sequential = run_network_sweep(
-            _smoke_spec(), ExperimentScale.smoke(), cache=None
-        )
-        assert sequential.pipelined_jobs == 0
-
-    def test_run_sweep_rejects_pipelined_for_single_cell_scenarios(self):
-        with pytest.raises(ValueError, match="network scenarios"):
-            run_sweep(
-                scenario("figure12"),
-                ExperimentScale.smoke(),
-                cache=None,
-                pipelined=True,
-            )
-
-    def test_run_sweep_dispatches_pipelined_network_scenarios(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        scale = ExperimentScale.smoke()
-        result = run_sweep(_smoke_spec(), scale, cache=cache, pipelined=True)
-        assert len(result.points) == len(scale.arrival_rates)
-        assert "voice_blocking_probability" in result.points[0].values
-
-
 class TestRunSweepDispatch:
     def test_run_sweep_serves_network_aggregates(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -130,65 +130,3 @@ class TestRunSweepValidation:
         )
         with pytest.raises(KeyError):
             result.series("not_a_metric")
-
-
-def _double(job):
-    """Top-level worker for drive_pipelined tests (pickled under jobs > 1)."""
-    return job * 2
-
-
-class _FakeDriver:
-    """Minimal driver: `rounds` lists of ints, result = all doubled values."""
-
-    def __init__(self, rounds):
-        self._rounds = list(rounds)
-        self._cursor = 0
-        self.absorbed = []
-        self.done = False
-
-    def next_jobs(self):
-        if self.done:
-            return []
-        jobs = self._rounds[self._cursor]
-        self._cursor += 1
-        return list(jobs)
-
-    def absorb(self, results):
-        self.absorbed.append(list(results))
-        self.done = self._cursor >= len(self._rounds)
-        return self.done
-
-    def result(self):
-        return [value for batch in self.absorbed for value in batch]
-
-
-class TestDrivePipelined:
-    def test_serial_drives_every_round_in_order(self):
-        from repro.runtime.executor import drive_pipelined
-
-        drivers = [_FakeDriver([[1, 2], [3]]), _FakeDriver([[4], [5, 6]])]
-        results, dispatched = drive_pipelined(drivers, _double, jobs=1)
-        assert results == [[2, 4, 6], [8, 10, 12]]
-        assert dispatched == 6
-
-    def test_empty_rounds_are_absorbed_and_skipped(self):
-        from repro.runtime.executor import drive_pipelined
-
-        driver = _FakeDriver([[], [7], []])
-        results, dispatched = drive_pipelined([driver], _double, jobs=1)
-        assert results == [[14]]
-        assert dispatched == 1
-        assert driver.absorbed == [[], [14], []]
-
-    def test_parallel_matches_serial(self):
-        from repro.runtime.executor import drive_pipelined
-
-        rounds = [[[1, 2, 3], [4]], [[5], [6, 7]], [[8, 9]]]
-        serial, serial_count = drive_pipelined(
-            [_FakeDriver(r) for r in rounds], _double, jobs=1
-        )
-        parallel, parallel_count = drive_pipelined(
-            [_FakeDriver(r) for r in rounds], _double, jobs=2
-        )
-        assert parallel == serial
-        assert parallel_count == serial_count == 9

@@ -183,11 +183,10 @@ class TestJobsParity:
             parallel.as_dict()["points"]
         )
 
-    @pytest.mark.parametrize("pipelined", [False, True])
-    def test_network(self, placement, pipelined):
+    def test_network(self, placement):
         spec = _network_spec()
-        serial = network_sweep_payloads(spec, SMOKE, pipelined=pipelined, jobs=1)
-        parallel = network_sweep_payloads(spec, SMOKE, pipelined=pipelined, jobs=2)
+        serial = network_sweep_payloads(spec, SMOKE, jobs=1)
+        parallel = network_sweep_payloads(spec, SMOKE, jobs=2)
         assert json.dumps(serial) == json.dumps(parallel)
 
     def test_transient(self, placement):

@@ -39,7 +39,6 @@ class TestProtocol:
                     "values": {"loss": 0.1},
                     "matvecs": 42,
                     "propagator_hits": 7,
-                    "pipelined_jobs": 4,
                     "solver_calls": 9,
                 }
             ],
@@ -48,8 +47,7 @@ class TestProtocol:
         assert "cache" not in canonical
         point = canonical["points"][0]
         for stripped in (
-            "from_cache", "matvecs", "propagator_hits", "pipelined_jobs",
-            "solver_calls",
+            "from_cache", "matvecs", "propagator_hits", "solver_calls",
         ):
             assert stripped not in point
         assert point["failed"] is False  # real outcomes survive
@@ -84,7 +82,6 @@ class TestProtocol:
             "scenario": "diurnal-24h",
             "preset": "default",
             "rate": None,
-            "pipelined": False,
             "cache": True,
         }
         with pytest.raises(ValueError, match="unknown command"):
@@ -102,10 +99,18 @@ class TestProtocol:
                 normalise_request(
                     {"command": "transient", "scenario": "x", "rate": bad_rate}
                 )
-        with pytest.raises(ValueError, match="pipelined"):
+        with pytest.raises(ValueError, match="unknown request key.*'pipelined'"):
             normalise_request(
-                {"command": "transient", "scenario": "x", "pipelined": True}
+                {"command": "network", "scenario": "x", "pipelined": True}
             )
+        for bad_cache in ("false", 0, 1, None):
+            with pytest.raises(ValueError, match="'cache' must be true or false"):
+                normalise_request(
+                    {"command": "network", "scenario": "x", "cache": bad_cache}
+                )
+        assert normalise_request(
+            {"command": "network", "scenario": "x", "cache": False}
+        )["cache"] is False
 
 
 @pytest.fixture()
@@ -130,6 +135,24 @@ def service_client(tmp_path):
 
 
 _REQUEST = {"command": "transient", "scenario": "diurnal-24h", "preset": "smoke"}
+_NETWORK_REQUEST = {
+    "command": "network", "scenario": "homogeneous-7", "preset": "smoke",
+}
+
+
+def _post_expecting_400(client, body: dict) -> dict:
+    """POST ``body`` to ``/run`` raw, assert a 400 and return its reply."""
+    request = urllib.request.Request(
+        client.url + "/run",
+        data=json.dumps(body).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+    )
+    with pytest.raises(urllib.error.HTTPError) as caught:
+        urllib.request.urlopen(request, timeout=30)
+    assert caught.value.code == 400
+    reply = json.loads(caught.value.read().decode("utf-8"))
+    assert reply["ok"] is False
+    return reply
 
 
 class TestService:
@@ -205,19 +228,40 @@ class TestService:
     @pytest.mark.parametrize("rate", ["nan", "inf", -1])
     def test_non_finite_or_negative_rate_is_a_400(self, service_client, rate):
         _, client = service_client
-        body = json.dumps(dict(_REQUEST, rate=rate)).encode("utf-8")
-        request = urllib.request.Request(
-            client.url + "/run",
-            data=body,
-            headers={"Content-Type": "application/json"},
-        )
-        with pytest.raises(urllib.error.HTTPError) as caught:
-            urllib.request.urlopen(request, timeout=30)
-        assert caught.value.code == 400
-        reply = json.loads(caught.value.read().decode("utf-8"))
-        assert reply["ok"] is False and "rate" in reply["error"]
+        reply = _post_expecting_400(client, dict(_REQUEST, rate=rate))
+        assert "rate" in reply["error"]
         # The rejection must leave the server answering valid requests.
         assert client.run(dict(_REQUEST, rate=0.4))["ok"]
+
+    @pytest.mark.parametrize(
+        "override, word",
+        [({"cache": "false"}, "cache"), ({"cache": 0}, "cache"),
+         ({"pipelined": True}, "pipelined")],
+        ids=["cache-string", "cache-int", "unknown-key"],
+    )
+    def test_malformed_field_is_a_400(self, service_client, override, word):
+        """A string ``cache`` must not be read as truthy, and an unknown key
+        must not be silently dropped: both are rejected before admission."""
+        _, client = service_client
+        reply = _post_expecting_400(client, dict(_NETWORK_REQUEST, **override))
+        assert word in reply["error"]
+        assert client.stats()["admission"]["accepted"] == 0  # never admitted
+        # The rejection must leave the server answering valid requests.
+        assert client.run(_NETWORK_REQUEST)["ok"]
+
+    def test_malformed_batch_items_answer_not_ok(self, service_client):
+        _, client = service_client
+        reply = client.batch(
+            [
+                dict(_NETWORK_REQUEST, cache="false"),
+                dict(_NETWORK_REQUEST, pipelined=True),
+                _NETWORK_REQUEST,
+            ]
+        )
+        first, second, valid = reply["responses"]
+        assert first["ok"] is False and "cache" in first["error"]
+        assert second["ok"] is False and "pipelined" in second["error"]
+        assert valid["ok"]
 
     def test_unknown_path_and_bad_body(self, service_client):
         _, client = service_client

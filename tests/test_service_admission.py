@@ -32,7 +32,6 @@ def _request(name: str = "alpha", **extra) -> dict:
         "scenario": name,
         "preset": "smoke",
         "rate": None,
-        "pipelined": False,
         "cache": True,
     }
     base.update(extra)
@@ -320,6 +319,47 @@ class TestDrain:
             )
         finally:
             replay_queue.close()
+
+    def test_entry_with_a_retired_key_still_replays_and_answers(self, tmp_path):
+        """Journal entries are replayed as stored, not re-normalised, so an
+        entry written while requests still carried a ``pipelined`` field
+        must solve on the real service and finish ``done``."""
+        from repro.runtime import ResultCache
+        from repro.service import ScenarioService
+
+        path = tmp_path / "journal.jsonl"
+        legacy = {
+            "command": "network",
+            "scenario": "homogeneous-7",
+            "preset": "smoke",
+            "rate": None,
+            "pipelined": False,
+            "cache": True,
+        }
+        entry_id = RequestJournal(path).accept(legacy)
+        service = ScenarioService(
+            cache=ResultCache(tmp_path / "cache"), journal_path=path
+        )
+        service.start()
+        try:
+            for _ in range(1000):
+                if service.stats()["admission"]["completed"] >= 1:
+                    break
+                time.sleep(0.02)
+            admission = service.stats()["admission"]
+            assert admission["replayed"] == 1
+            assert admission["completed"] == 1 and admission["errors"] == 0
+            records = [
+                json.loads(line) for line in path.read_text().splitlines()[1:]
+            ]
+            assert {"event": "finish", "id": entry_id, "status": "done"} in records
+            # The replayed solve landed in the cache: the same request,
+            # normalised today, is answered without solving again.
+            legacy.pop("pipelined")
+            response = service.handle(legacy)
+            assert response["ok"] and response["cache"]["hits"] > 0
+        finally:
+            service.close()
 
 
 class TestStats:

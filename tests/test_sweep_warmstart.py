@@ -146,13 +146,11 @@ class TestChunkedExecution:
         assert cold.measures == chunked.measures
 
     def test_ambient_warm_and_chunk_options(self):
-        with execution_options(warm=False, chunk_size=3, pipelined=True):
+        with execution_options(warm=False, chunk_size=3):
             options = current_options()
             assert options.warm is False
             assert options.chunk_size == 3
-            assert options.pipelined is True
         assert current_options().warm is True
-        assert current_options().pipelined is False
 
 
 def _structured_setup(preset_buffer: int | None, sessions: int, rate: float):
