@@ -183,10 +183,11 @@ class TestJobsParity:
             parallel.as_dict()["points"]
         )
 
-    def test_network(self, placement):
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_network(self, placement, warm):
         spec = _network_spec()
-        serial = network_sweep_payloads(spec, SMOKE, jobs=1)
-        parallel = network_sweep_payloads(spec, SMOKE, jobs=2)
+        serial = network_sweep_payloads(spec, SMOKE, warm=warm, jobs=1)
+        parallel = network_sweep_payloads(spec, SMOKE, warm=warm, jobs=2)
         assert json.dumps(serial) == json.dumps(parallel)
 
     def test_transient(self, placement):
