@@ -1,16 +1,13 @@
-"""Ablation benches for admission-control extensions (guard channels, finite sources).
+"""Ablation bench for an admission-control extension: guard channels.
 
-Beyond-the-paper experiments: handover prioritisation through guard channels
-and the finite-population (Engset) correction of the Erlang-loss model the
-paper uses for both user classes.
+A beyond-the-paper experiment: handover prioritisation through guard
+channels that only handover calls may take.
 """
 
 from __future__ import annotations
 
 from repro.core.parameters import GprsModelParameters
 from repro.experiments.extensions import guard_channel_tradeoff
-from repro.queueing.engset import EngsetSystem
-from repro.queueing.erlang import ErlangLossSystem
 from repro.traffic.presets import TRAFFIC_MODEL_3
 
 
@@ -38,35 +35,3 @@ def test_ablation_guard_channels(benchmark, bench_scale):
     # Four guard channels cut the handover failure probability substantially.
     assert failures[-1] < 0.5 * failures[0]
 
-
-def test_ablation_finite_population(benchmark):
-    """The Poisson (Erlang) assumption overestimates blocking for small populations."""
-
-    def run():
-        servers = 10
-        service_rate = 1.0 / 120.0
-        per_source_rate = 0.001
-        results = []
-        for sources in (12, 20, 50, 200, 1000):
-            engset = EngsetSystem(
-                sources=sources,
-                request_rate=per_source_rate,
-                service_rate=service_rate,
-                servers=servers,
-            )
-            erlang = ErlangLossSystem(
-                arrival_rate=sources * per_source_rate,
-                service_rate=service_rate,
-                servers=servers,
-            )
-            results.append((sources, engset.call_congestion(), erlang.blocking_probability()))
-        return results
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    print("\nfinite population vs Poisson blocking (10 channels):")
-    for sources, engset_blocking, erlang_blocking in results:
-        print(f"  N={sources:5d}: Engset {engset_blocking:.6f}  Erlang-B {erlang_blocking:.6f}")
-    # The finite-source model always blocks less, and converges to Erlang-B.
-    assert all(engset <= erlang + 1e-12 for _, engset, erlang in results)
-    largest = results[-1]
-    assert abs(largest[1] - largest[2]) / max(largest[2], 1e-12) < 0.1

@@ -1,17 +1,11 @@
 #!/usr/bin/env python
-"""Application mixes, synthetic traces and fitting the 3GPP model back to them.
+"""Synthetic packet traces and fitting the 3GPP session model back to them.
 
-The paper evaluates homogeneous WWW-browsing populations.  This example uses
-the traffic extensions of the library to go one step further:
-
-1. build a mixed population (WWW browsing, FTP downloads, e-mail) and show the
-   per-session statistics of the mix next to the pure Table 3 models;
-2. evaluate the GPRS cell under the mix by plugging the mix's equivalent
-   session model into the analytical model;
-3. generate a synthetic packet trace from the 3GPP sampler, measure its
-   burstiness (interarrival variability, index of dispersion) and fit the
-   session model back from the raw timestamps -- the round trip a
-   practitioner would perform with measured traces.
+The paper parameterises its traffic with the 3GPP packet-session model.  This
+example generates a synthetic packet trace from the 3GPP sampler, measures its
+burstiness (interarrival variability, index of dispersion) and fits the
+session model back from the raw timestamps -- the round trip a practitioner
+would perform with measured traces.
 
 Run it with::
 
@@ -22,49 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import GprsMarkovModel, GprsModelParameters, traffic_model
-from repro.traffic.applications import ApplicationMix
+from repro import traffic_model
 from repro.traffic.sampling import SessionSampler
 from repro.traffic.statistics import compute_trace_statistics, fit_session_model
 
 
-def describe_session(label: str, session) -> None:
-    print(f"  {label:<34} duration {session.mean_session_duration_s:8.1f} s   "
-          f"mean rate {session.mean_bit_rate_kbit_s:6.2f} kbit/s   "
-          f"activity {session.activity_factor:5.1%}")
-
-
 def main() -> None:
-    print("1. Application mix")
-    print("-" * 78)
-    mix = ApplicationMix.from_shares({"www-32k": 0.6, "ftp": 0.1, "email": 0.3})
-    for weight, component in zip(mix.normalised_weights(), mix.components):
-        describe_session(f"{component.session.name} ({weight:.0%})", component.session)
-    equivalent = mix.equivalent_session_model("mixed population")
-    describe_session("equivalent single model", equivalent)
-    print()
-
-    print("2. Cell performance under the mix (0.5 calls/s, 10% GPRS users)")
-    print("-" * 78)
-    for label, session in (
-        ("pure WWW 32 kbit/s (traffic model 2)", traffic_model(2).session),
-        ("application mix", equivalent),
-    ):
-        parameters = GprsModelParameters(
-            total_call_arrival_rate=0.5,
-            gprs_fraction=0.10,
-            traffic=session,
-            reserved_pdch=2,
-            buffer_size=20,
-            max_gprs_sessions=10,
-        )
-        measures = GprsMarkovModel(parameters).measures()
-        print(f"  {label:<38} CDT {measures.carried_data_traffic:6.3f} PDCH   "
-              f"loss {measures.packet_loss_probability:8.5f}   "
-              f"throughput/user {measures.throughput_per_user_kbit_s:6.2f} kbit/s")
-    print()
-
-    print("3. Synthetic trace, burstiness statistics and model fitting")
+    print("Synthetic trace, burstiness statistics and model fitting")
     print("-" * 78)
     model = traffic_model(3).session
     sampler = SessionSampler(model, np.random.default_rng(42))

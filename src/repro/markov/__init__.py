@@ -1,4 +1,4 @@
-"""General continuous- and discrete-time Markov chain library.
+"""Continuous-time Markov chain library.
 
 This subpackage provides the numerical machinery used by the GPRS model in
 :mod:`repro.core`:
@@ -6,8 +6,6 @@ This subpackage provides the numerical machinery used by the GPRS model in
 * :class:`~repro.markov.ctmc.ContinuousTimeMarkovChain` -- a CTMC defined by a
   (sparse or dense) infinitesimal generator matrix, with steady-state and
   transient solution methods.
-* :class:`~repro.markov.dtmc.DiscreteTimeMarkovChain` -- a DTMC defined by a
-  stochastic matrix.
 * :mod:`~repro.markov.solvers` -- numerical steady-state solvers: GTH
   elimination, direct sparse linear solve, uniformised power iteration, Jacobi,
   Gauss--Seidel and SOR sweeps.
@@ -15,38 +13,10 @@ This subpackage provides the numerical machinery used by the GPRS model in
   interrupted Poisson process (IPP) used by the 3GPP traffic model, and the
   aggregation of ``m`` identical two-state sources into an ``(m + 1)``-state
   birth--death modulating chain (the key state-space reduction of the paper).
-* :mod:`~repro.markov.birth_death` -- closed-form birth--death chain solutions.
 * :mod:`~repro.markov.transient` -- transient analysis via uniformisation.
-* :mod:`~repro.markov.phase_type` -- phase-type distributions (Erlang,
-  hyperexponential, Coxian, two-moment fitting) for relaxing the exponential
-  assumptions of the model.
-* :mod:`~repro.markov.map_process` -- Markovian arrival processes, the
-  second-order generalisation of the MMPP traffic model.
-* :mod:`~repro.markov.qbd` -- block-tridiagonal (quasi-birth--death) solution
-  techniques: finite-level block elimination and the matrix-geometric method.
-* :mod:`~repro.markov.absorption` -- first-passage and absorption analysis
-  (e.g. the time until a busy mobile leaves the cell).
 """
 
-from repro.markov.absorption import (
-    AbsorbingCtmcAnalysis,
-    absorption_probabilities,
-    expected_time_to_absorption,
-    first_passage_time_moments,
-)
-from repro.markov.birth_death import BirthDeathChain
-from repro.markov.map_process import MarkovianArrivalProcess, map_from_mmpp, superpose_maps
-from repro.markov.phase_type import (
-    PhaseTypeDistribution,
-    coxian_ph,
-    erlang_ph,
-    exponential_ph,
-    fit_two_moments,
-    hyperexponential_ph,
-)
-from repro.markov.qbd import QuasiBirthDeathProcess, solve_finite_level_chain
 from repro.markov.ctmc import ContinuousTimeMarkovChain
-from repro.markov.dtmc import DiscreteTimeMarkovChain
 from repro.markov.mmpp import (
     InterruptedPoissonProcess,
     MarkovModulatedPoissonProcess,
@@ -65,34 +35,17 @@ from repro.markov.solvers import (
 from repro.markov.transient import transient_distribution, uniformize
 
 __all__ = [
-    "AbsorbingCtmcAnalysis",
-    "BirthDeathChain",
     "ContinuousTimeMarkovChain",
-    "DiscreteTimeMarkovChain",
     "InterruptedPoissonProcess",
     "MarkovModulatedPoissonProcess",
-    "MarkovianArrivalProcess",
-    "PhaseTypeDistribution",
-    "QuasiBirthDeathProcess",
     "SolverError",
     "SteadyStateResult",
-    "absorption_probabilities",
     "aggregate_identical_ipps",
-    "coxian_ph",
-    "erlang_ph",
-    "expected_time_to_absorption",
-    "exponential_ph",
-    "first_passage_time_moments",
-    "fit_two_moments",
-    "hyperexponential_ph",
-    "map_from_mmpp",
-    "solve_finite_level_chain",
     "solve_steady_state",
     "steady_state_direct",
     "steady_state_gauss_seidel",
     "steady_state_gth",
     "steady_state_power",
-    "superpose_maps",
     "superpose_mmpps",
     "transient_distribution",
     "uniformize",

@@ -1,6 +1,6 @@
 """Unified observability: hierarchical spans, typed metrics, run ledger.
 
-Three layers, one per module:
+Three layers, one per module, plus the JSONL file format they share:
 
 - :mod:`repro.obs.trace` -- zero-cost-when-disabled hierarchical spans with
   monotonic wall/CPU timings, aggregated into a span tree plus flat
@@ -11,6 +11,8 @@ Three layers, one per module:
 - :mod:`repro.obs.ledger` -- the schema-versioned JSONL run ledger, the
   ``gprs-repro report`` rendering, and the :func:`~repro.obs.ledger.compare`
   helper the benchmarks share.
+- :mod:`repro.obs.journal` -- the one JSONL reader/appender and schema
+  check behind the ledger, the sweep checkpoint and the request journal.
 
 The standing contract: instrumentation never changes numbers.  Tracing on
 vs. off is bitwise identical, and the disabled path costs one contextvar

@@ -30,6 +30,8 @@ import platform
 import sys
 from typing import Any
 
+from repro.obs.journal import append_jsonl, check_schema, read_jsonl
+
 __all__ = [
     "SCHEMA",
     "SCHEMA_VERSION",
@@ -230,20 +232,7 @@ def validate_record(record: Any) -> dict:
     record -- wrong schema marker, a *future* schema version (refusing to
     half-read unknown formats), or missing required fields.
     """
-    if not isinstance(record, dict):
-        raise ValueError("ledger record must be a JSON object")
-    if record.get("schema") != SCHEMA:
-        raise ValueError(
-            f"not a {SCHEMA} record (schema={record.get('schema')!r})"
-        )
-    version = record.get("schema_version")
-    if not isinstance(version, int) or version < 1:
-        raise ValueError(f"invalid schema_version {version!r}")
-    if version > SCHEMA_VERSION:
-        raise ValueError(
-            f"ledger schema_version {version} is newer than supported "
-            f"{SCHEMA_VERSION}; refusing to misread it"
-        )
+    check_schema(record, SCHEMA, SCHEMA_VERSION)
     missing = [name for name in REQUIRED_FIELDS if name not in record]
     if missing:
         raise ValueError(f"ledger record missing fields: {', '.join(missing)}")
@@ -252,30 +241,18 @@ def validate_record(record: Any) -> dict:
 
 def append_record(path: str, record: dict) -> dict:
     """Validate ``record`` and append it as one line of ``path``."""
-    validate_record(record)
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
+    append_jsonl(path, [validate_record(record)])
     return record
 
 
 def read_ledger(path: str) -> list[dict]:
     """Every validated record of a ledger file, in file order."""
     records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                parsed = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise ValueError(f"{path}:{line_number}: not JSON: {error}") from None
-            try:
-                records.append(validate_record(parsed))
-            except ValueError as error:
-                raise ValueError(f"{path}:{line_number}: {error}") from None
+    for line_number, record in read_jsonl(path):
+        try:
+            records.append(validate_record(record))
+        except ValueError as error:
+            raise ValueError(f"{path}:{line_number}: {error}") from None
     return records
 
 

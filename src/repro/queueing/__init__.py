@@ -8,20 +8,15 @@ used both to balance the handover flows entering and leaving the cell
 the average number of GPRS sessions.
 
 This subpackage provides those closed forms plus the generic fixed-point
-iteration framework used for the handover balance, and a set of companion
+iteration framework used for the handover balance, and two companion
 models that extend the paper's admission and sharing assumptions:
 
 * :class:`~repro.queueing.guard_channel.GuardChannelSystem` -- cutoff-priority
   admission that reserves guard channels for handover calls;
-* :class:`~repro.queueing.engset.EngsetSystem` -- the finite-population
-  correction of the Erlang-loss model;
 * :class:`~repro.queueing.priority.PreemptivePrioritySharing` -- the
-  voice-over-data priority rule analysed by time-scale decomposition;
-* :class:`~repro.queueing.map_queue.MapMcKQueue` -- the BSC buffer as a
-  MAP/M/c/K queue, solved exactly through the block-tridiagonal machinery.
+  voice-over-data priority rule analysed by time-scale decomposition.
 """
 
-from repro.queueing.engset import EngsetSystem
 from repro.queueing.erlang import (
     ErlangLossSystem,
     erlang_b,
@@ -36,17 +31,14 @@ from repro.queueing.littles_law import (
     mean_waiting_time,
     utilization,
 )
-from repro.queueing.map_queue import MapMcKQueue
 from repro.queueing.mmck import MMcKQueue
 from repro.queueing.priority import PreemptivePrioritySharing
 
 __all__ = [
-    "EngsetSystem",
     "ErlangLossSystem",
     "FixedPointResult",
     "GuardChannelSystem",
     "MMcKQueue",
-    "MapMcKQueue",
     "PreemptivePrioritySharing",
     "erlang_b",
     "erlang_b_recursive",

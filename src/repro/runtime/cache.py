@@ -30,6 +30,7 @@ import json
 import logging
 import os
 import tempfile
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -172,15 +173,6 @@ class CacheStats:
             "corrupt": self.corrupt,
         }
 
-    def merge(self, other: "CacheStats | dict") -> None:
-        """Fold another instance's counts in (worker stats joining a parent's)."""
-        if isinstance(other, CacheStats):
-            other = other.as_dict()
-        self.hits += other.get("hits", 0)
-        self.misses += other.get("misses", 0)
-        self.writes += other.get("writes", 0)
-        self.corrupt += other.get("corrupt", 0)
-
 
 @dataclass
 class ResultCache:
@@ -192,11 +184,19 @@ class ResultCache:
     ``<key>.corrupt`` so it can never be re-read, counted under
     ``cache.corrupt``, and logged once per key.  The worst a broken cache
     can do is recompute.
+
+    Instances are **thread-safe**: one lock serialises the stats counters
+    and the quarantine log set, so the service's solver threads can share a
+    single cache.  Disk reads and writes stay outside it; the atomic-rename
+    write protocol already makes them safe to race.
     """
 
     root: Path
     stats: CacheStats = field(default_factory=CacheStats)
     _quarantine_logged: set = field(default_factory=set, repr=False)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
@@ -212,28 +212,34 @@ class ResultCache:
             with path.open("r", encoding="utf-8") as handle:
                 payload = json.load(handle)
         except OSError:
-            self.stats.misses += 1
-            current_registry().count("cache.result.misses")
+            self._count_miss()
             return None
         except ValueError:
             self._quarantine(key, path)
-            self.stats.misses += 1
-            current_registry().count("cache.result.misses")
+            self._count_miss()
             return None
-        self.stats.hits += 1
+        with self._lock:
+            self.stats.hits += 1
         current_registry().count("cache.result.hits")
         return payload
 
+    def _count_miss(self) -> None:
+        with self._lock:
+            self.stats.misses += 1
+        current_registry().count("cache.result.misses")
+
     def _quarantine(self, key: str, path: Path) -> None:
         """Move a corrupt entry aside so the key reads as a clean miss."""
-        self.stats.corrupt += 1
+        with self._lock:
+            self.stats.corrupt += 1
+            first_report = key not in self._quarantine_logged
+            self._quarantine_logged.add(key)
         current_registry().count("cache.corrupt")
         try:
             os.replace(path, path.with_name(f"{key}.corrupt"))
         except OSError:
             pass  # unmovable (e.g. read-only cache): the miss still recomputes
-        if key not in self._quarantine_logged:
-            self._quarantine_logged.add(key)
+        if first_report:
             _logger.warning(
                 "quarantined corrupt cache entry %s -> %s.corrupt", key, key
             )
@@ -265,7 +271,8 @@ class ResultCache:
             except OSError:
                 pass
             raise
-        self.stats.writes += 1
+        with self._lock:
+            self.stats.writes += 1
         current_registry().count("cache.result.writes")
         plan = current_fault_plan()
         if plan is not None and plan.take_cache_corruption():

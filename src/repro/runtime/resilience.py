@@ -92,6 +92,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.obs.journal import append_jsonl, check_schema, read_jsonl
 from repro.obs.metrics import current_registry
 from repro.runtime.faults import current_fault_plan, run_with_faults
 
@@ -833,11 +834,11 @@ def payload_digest(payload: dict) -> str:
 class SweepCheckpoint:
     """JSONL journal of completed sweep points: ``{key, digest, site, index}``.
 
-    The first line is a schema-versioned header (the run-ledger pattern);
-    every later line records one completed point's cache key and payload
-    digest.  :meth:`load` tolerates a missing file and a torn final line (an
-    interrupted append), but refuses a future schema version outright --
-    silently misreading a checkpoint would "resume" the wrong work.
+    The first line is a schema-versioned header; every later line records
+    one completed point's cache key and payload digest.  :meth:`load`
+    tolerates a missing file and a torn tail (see :mod:`repro.obs.journal`),
+    but refuses a future schema version outright -- silently misreading a
+    checkpoint would "resume" the wrong work.
     """
 
     def __init__(self, path, entries: dict | None = None) -> None:
@@ -847,37 +848,13 @@ class SweepCheckpoint:
     @classmethod
     def load(cls, path) -> "SweepCheckpoint":
         path = Path(path)
+        records = read_jsonl(path) if path.exists() else []
+        if records:
+            check_schema(
+                records[0][1], CHECKPOINT_SCHEMA, CHECKPOINT_SCHEMA_VERSION, source=path
+            )
         entries: dict[str, str] = {}
-        try:
-            lines = path.read_text(encoding="utf-8").splitlines()
-        except FileNotFoundError:
-            return cls(path)
-        for number, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                if number == len(lines) - 1:
-                    continue  # torn final line from an interrupted append
-                raise ValueError(f"{path}:{number + 1}: not JSON") from None
-            if number == 0:
-                if record.get("schema") != CHECKPOINT_SCHEMA:
-                    raise ValueError(
-                        f"{path}: not a {CHECKPOINT_SCHEMA} file "
-                        f"(schema={record.get('schema')!r})"
-                    )
-                version = record.get("schema_version")
-                if not isinstance(version, int) or version < 1:
-                    raise ValueError(f"{path}: invalid schema_version {version!r}")
-                if version > CHECKPOINT_SCHEMA_VERSION:
-                    raise ValueError(
-                        f"{path}: checkpoint schema_version {version} is newer "
-                        f"than supported {CHECKPOINT_SCHEMA_VERSION}; refusing "
-                        "to misread it"
-                    )
-                continue
+        for _, record in records[1:]:
             key = record.get("key")
             digest = record.get("digest")
             if isinstance(key, str) and isinstance(digest, str):
@@ -897,19 +874,13 @@ class SweepCheckpoint:
         """Journal one completed point (appended and flushed immediately)."""
         from repro.runtime.cache import CODE_VERSION
 
-        new_file = not self.path.exists()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as handle:
-            if new_file:
-                header = {
-                    "schema": CHECKPOINT_SCHEMA,
-                    "schema_version": CHECKPOINT_SCHEMA_VERSION,
-                    "code_version": CODE_VERSION,
-                }
-                handle.write(json.dumps(header, sort_keys=True) + "\n")
-            entry = {"key": key, "digest": digest, "site": site, "index": index}
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
-            handle.flush()
+        header = {
+            "schema": CHECKPOINT_SCHEMA,
+            "schema_version": CHECKPOINT_SCHEMA_VERSION,
+            "code_version": CODE_VERSION,
+        }
+        entry = {"key": key, "digest": digest, "site": site, "index": index}
+        append_jsonl(self.path, [entry], header=header)
         self._entries[key] = digest
         current_registry().count("resilience.checkpointed_points")
 

@@ -27,8 +27,8 @@ server hands requests to:
   pool-backed solves abort instead of running arbitrarily long.  Entries
   that could not finish stay *accepted* in the journal and are re-solved on
   the next start.
-* **Crash-consistent request journal.**  A JSONL file with the same
-  digest-verified, schema-versioned header pattern as
+* **Crash-consistent request journal.**  A digest-verified JSONL file in
+  the :mod:`repro.obs.journal` format of
   :class:`~repro.runtime.resilience.SweepCheckpoint`: an ``accept`` line is
   flushed and fsynced *before* a solve may start, a ``finish`` line records
   the outcome.  On startup, accepted-but-unfinished requests are replayed
@@ -42,12 +42,11 @@ from __future__ import annotations
 
 import collections
 import hashlib
-import json
-import os
 import threading
 import time
 from pathlib import Path
 
+from repro.obs.journal import append_jsonl, check_schema, read_jsonl
 from repro.obs.metrics import current_registry
 from repro.runtime.resilience import CancelToken, TaskCancelledError, cancel_scope
 from repro.service.protocol import request_key
@@ -111,11 +110,11 @@ class RequestJournal:
 
     ``digest`` covers the canonical request rendering, so a flipped bit in a
     journalled request is detected on load and the line is dropped (counted
-    under ``service.journal_corrupt``) instead of replaying garbage.  The
-    final line may be torn (an interrupted append) and is skipped; a future
-    schema version is refused outright.  ``accept`` lines are flushed *and*
-    fsynced before :meth:`accept` returns -- the crash-consistency contract
-    is that any request the server acknowledged as admitted is durable.
+    under ``service.journal_corrupt``) instead of replaying garbage.  A torn
+    tail is skipped (see :mod:`repro.obs.journal`); a future schema version
+    is refused outright.  ``accept`` lines are flushed *and* fsynced before
+    :meth:`accept` returns -- the crash-consistency contract is that any
+    request the server acknowledged as admitted is durable.
     """
 
     def __init__(self, path) -> None:
@@ -125,49 +124,21 @@ class RequestJournal:
         self._pending: "collections.OrderedDict[int, dict]" = (
             collections.OrderedDict()
         )
-        self._header_written = False
         self._load()
 
     # -- loading ----------------------------------------------------------
 
     def _load(self) -> None:
-        try:
-            lines = self.path.read_text(encoding="utf-8").splitlines()
-        except FileNotFoundError:
-            return
+        records = read_jsonl(self.path) if self.path.exists() else []
+        if records:
+            check_schema(
+                records[0][1], JOURNAL_SCHEMA, JOURNAL_SCHEMA_VERSION, source=self.path
+            )
         registry = current_registry()
         accepted: "collections.OrderedDict[int, dict]" = collections.OrderedDict()
         finished: set[int] = set()
         max_id = 0
-        for number, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                if number == len(lines) - 1:
-                    continue  # torn final line from an interrupted append
-                raise ValueError(f"{self.path}:{number + 1}: not JSON") from None
-            if number == 0:
-                if record.get("schema") != JOURNAL_SCHEMA:
-                    raise ValueError(
-                        f"{self.path}: not a {JOURNAL_SCHEMA} file "
-                        f"(schema={record.get('schema')!r})"
-                    )
-                version = record.get("schema_version")
-                if not isinstance(version, int) or version < 1:
-                    raise ValueError(
-                        f"{self.path}: invalid schema_version {version!r}"
-                    )
-                if version > JOURNAL_SCHEMA_VERSION:
-                    raise ValueError(
-                        f"{self.path}: journal schema_version {version} is newer "
-                        f"than supported {JOURNAL_SCHEMA_VERSION}; refusing to "
-                        "misread it"
-                    )
-                self._header_written = True
-                continue
+        for _, record in records[1:]:
             event = record.get("event")
             entry_id = record.get("id")
             if not isinstance(entry_id, int):
@@ -201,19 +172,8 @@ class RequestJournal:
     # -- appending --------------------------------------------------------
 
     def _append(self, record: dict, *, fsync: bool) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as handle:
-            if not self._header_written:
-                header = {
-                    "schema": JOURNAL_SCHEMA,
-                    "schema_version": JOURNAL_SCHEMA_VERSION,
-                }
-                handle.write(json.dumps(header, sort_keys=True) + "\n")
-                self._header_written = True
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-            handle.flush()
-            if fsync:
-                os.fsync(handle.fileno())
+        header = {"schema": JOURNAL_SCHEMA, "schema_version": JOURNAL_SCHEMA_VERSION}
+        append_jsonl(self.path, [record], header=header, fsync=fsync)
 
     def accept(self, request: dict) -> int:
         """Durably journal one admitted request; returns its journal id."""

@@ -130,10 +130,10 @@ def normalise_request(request: dict) -> dict:
         raise ValueError(f"unknown preset {preset!r}")
     rate = request.get("rate")
     if rate is not None:
-        try:
-            rate = float(rate)
-        except (TypeError, ValueError):
-            raise ValueError(f"'rate' must be a number, not {rate!r}") from None
+        # float() would take "0.5" and True: only a JSON number is a rate.
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+            raise ValueError(f"'rate' must be a number, not {rate!r}")
+        rate = float(rate)
         if not 0 <= rate < math.inf:
             raise ValueError(f"'rate' must be finite and non-negative, not {rate!r}")
         if command != "transient":

@@ -15,18 +15,10 @@ purposes of the Markov model; this subpackage provides
 * :mod:`~repro.traffic.units` -- packet/bit conversions and coding-scheme rates,
 * :class:`~repro.traffic.sampling.SessionSampler` -- random sampling of whole
   session traces, shared by the network simulator and the examples,
-* :mod:`~repro.traffic.applications` -- application presets (WWW, FTP, e-mail,
-  WAP) and weighted application mixes,
 * :mod:`~repro.traffic.statistics` -- empirical trace statistics (burstiness
   measures) and fitting the 3GPP/IPP model to a packet trace.
 """
 
-from repro.traffic.applications import (
-    APPLICATION_PRESETS,
-    ApplicationMix,
-    MixComponent,
-    application,
-)
 from repro.traffic.presets import (
     TRAFFIC_MODEL_1,
     TRAFFIC_MODEL_2,
@@ -53,11 +45,8 @@ from repro.traffic.units import (
 )
 
 __all__ = [
-    "APPLICATION_PRESETS",
-    "ApplicationMix",
     "CODING_SCHEME_RATES_KBIT_S",
     "DATA_PACKET_SIZE_BYTES",
-    "MixComponent",
     "PacketCallTrace",
     "PacketSessionModel",
     "SessionSampler",
@@ -67,7 +56,6 @@ __all__ = [
     "TRAFFIC_MODEL_2",
     "TRAFFIC_MODEL_3",
     "TraceStatistics",
-    "application",
     "bits_per_packet",
     "compute_trace_statistics",
     "detect_packet_calls",

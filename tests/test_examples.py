@@ -87,7 +87,6 @@ def test_link_quality_and_arq_example(monkeypatch, capsys):
 
 def test_traffic_mix_analysis_example(monkeypatch, capsys):
     output = run_example(monkeypatch, capsys, "traffic_mix_analysis.py")
-    assert "Application mix" in output
     assert "fitted 3GPP parameters" in output
     assert "index of dispersion" in output
 

@@ -20,16 +20,9 @@ import pytest
         "repro.validation",
         "repro.network",
         "repro.transient",
-        "repro.traffic.applications",
         "repro.traffic.statistics",
-        "repro.markov.phase_type",
-        "repro.markov.map_process",
-        "repro.markov.qbd",
-        "repro.markov.absorption",
         "repro.queueing.guard_channel",
-        "repro.queueing.engset",
         "repro.queueing.priority",
-        "repro.queueing.map_queue",
         "repro.experiments.sensitivity",
         "repro.experiments.extensions",
     ],
@@ -44,9 +37,8 @@ def test_every_advertised_name_is_importable(module_name):
 def test_top_level_markov_exports_include_the_extensions():
     import repro.markov as markov
 
-    for name in ("PhaseTypeDistribution", "MarkovianArrivalProcess",
-                 "QuasiBirthDeathProcess", "solve_finite_level_chain",
-                 "expected_time_to_absorption"):
+    for name in ("MarkovModulatedPoissonProcess", "InterruptedPoissonProcess",
+                 "aggregate_identical_ipps", "transient_distribution", "uniformize"):
         assert name in markov.__all__
         assert hasattr(markov, name)
 
@@ -54,8 +46,7 @@ def test_top_level_markov_exports_include_the_extensions():
 def test_top_level_queueing_exports_include_the_extensions():
     import repro.queueing as queueing
 
-    for name in ("GuardChannelSystem", "EngsetSystem", "PreemptivePrioritySharing",
-                 "MapMcKQueue"):
+    for name in ("GuardChannelSystem", "PreemptivePrioritySharing"):
         assert name in queueing.__all__
         assert hasattr(queueing, name)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.markov.birth_death import BirthDeathChain
+from repro.markov.solvers import steady_state_gth
 from repro.queueing.erlang import ErlangLossSystem
 from repro.queueing.mmck import MMcKQueue
 
@@ -38,10 +38,16 @@ class TestClosedForms:
         assert queue.blocking_probability() == pytest.approx(loss.blocking_probability())
 
     def test_matches_birth_death_chain(self):
-        queue = MMcKQueue(2.0, 0.7, servers=3, capacity=8)
-        chain = BirthDeathChain.mmck(2.0, 0.7, servers=3, capacity=8)
+        """The closed form equals the GTH solution of the M/M/c/K generator."""
+        arrival, service, servers, capacity = 2.0, 0.7, 3, 8
+        generator = np.zeros((capacity + 1, capacity + 1))
+        for n in range(capacity):
+            generator[n, n + 1] = arrival
+            generator[n + 1, n] = min(n + 1, servers) * service
+        generator -= np.diag(generator.sum(axis=1))
+        queue = MMcKQueue(arrival, service, servers=servers, capacity=capacity)
         assert queue.state_distribution() == pytest.approx(
-            chain.stationary_distribution(), abs=1e-12
+            steady_state_gth(generator).distribution, abs=1e-12
         )
 
     def test_mm1k_known_solution(self):

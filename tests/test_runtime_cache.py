@@ -11,6 +11,8 @@ The load-bearing properties asserted here:
 from __future__ import annotations
 
 import multiprocessing
+import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -130,6 +132,34 @@ class TestResultCache:
         assert cache.get(key) is None
         cache.put(key, {"value": 4.0})
         assert cache.get(key) == {"value": 4.0}
+
+    def test_concurrent_readers_lose_no_stats(self, tmp_path):
+        """Threads sharing one cache (the service's solver threads) count every call."""
+        cache = ResultCache(tmp_path)
+        cache.put("ab" * 32, {"value": 1.0})
+        threads, calls = 8, 250
+        barrier = threading.Barrier(threads)
+
+        def hammer(index):
+            barrier.wait(timeout=60)
+            for call in range(calls):
+                cache.get("ab" * 32 if (index + call) % 2 else "cd" * 32)
+
+        workers = [
+            threading.Thread(target=hammer, args=(index,)) for index in range(threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert cache.stats.hits + cache.stats.misses == threads * calls
+        assert cache.stats.hits == cache.stats.misses == threads * calls // 2
 
     def test_keyboard_interrupt_in_put_propagates_and_cleans_up(
         self, tmp_path, monkeypatch

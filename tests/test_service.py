@@ -225,7 +225,7 @@ class TestService:
         # A failed request must not poison the server.
         assert client.health()["ok"]
 
-    @pytest.mark.parametrize("rate", ["nan", "inf", -1])
+    @pytest.mark.parametrize("rate", ["nan", "inf", -1, True, "0.5"])
     def test_non_finite_or_negative_rate_is_a_400(self, service_client, rate):
         _, client = service_client
         reply = _post_expecting_400(client, dict(_REQUEST, rate=rate))
