@@ -34,16 +34,16 @@ SWEEP_RATES = tuple(np.round(np.linspace(0.1, 1.0, 32), 6))
 def test_warm_sweep_speedup():
     """Warm-started sweep must beat the cold sweep by at least 2x.
 
-    Both pipelines are timed twice, interleaved, and compared on their best
-    runs, so a transient load spike on a shared CI runner cannot fail the
-    assertion by hitting only one side.
+    Both pipelines are timed four times, interleaved, and compared on their
+    best runs, so a slow phase of a shared host lasting a few seconds
+    cannot fail the assertion by hitting only one side.
     """
     scale = ExperimentScale.default()
     spec = scenario("figure12").replace(arrival_rates=SWEEP_RATES)
 
     cold_seconds, warm_seconds = [], []
     cold = warm = None
-    for _ in range(2):
+    for _ in range(4):
         start = time.perf_counter()
         cold = run_sweep(spec, scale, cache=None, warm=False)
         cold_seconds.append(time.perf_counter() - start)

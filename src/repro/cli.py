@@ -390,7 +390,9 @@ def _add_runtime_arguments(
                         "(requires the result cache)")
     parser.add_argument("--inject-faults", default=None, metavar="SPEC",
                         help="deterministic fault injection, e.g. "
-                        "'chunk@1=kill,cell@2=timeout:5,cache@0=corrupt' "
+                        "'chunk@1=kill,cell@2=timeout:5,cache@0=corrupt'; "
+                        "cache@N indexes puts to the content store across "
+                        "result cache and artifact store "
                         "(testing; also via $REPRO_FAULTS)")
     _add_obs_arguments(parser)
 

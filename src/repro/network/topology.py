@@ -28,14 +28,13 @@ content-addressed cache keys.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 
 from repro.core.parameters import GprsModelParameters
+from repro.store.content import content_key
 
 __all__ = [
     "CELL_OVERRIDE_FIELDS",
@@ -236,8 +235,7 @@ class CellTopology:
 
     def digest(self) -> str:
         """Stable content hash of the topology (for cache keys and reports)."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        return content_key(self.to_dict())[:16]
 
 
 # ---------------------------------------------------------------------- #

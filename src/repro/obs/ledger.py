@@ -23,8 +23,6 @@ without dragging the whole package in.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import platform
 import sys
@@ -70,8 +68,9 @@ REQUIRED_FIELDS = (
 
 def spec_digest(payload: Any) -> str:
     """Content digest of a resolved run spec (any JSON-renderable value)."""
-    rendering = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=repr)
-    return hashlib.sha256(rendering.encode("utf-8")).hexdigest()[:16]
+    from repro.store.content import content_key
+
+    return content_key(payload, default=repr)[:16]
 
 
 def environment_fingerprint() -> dict:

@@ -43,7 +43,6 @@ Quickstart::
 
 from repro.runtime.cache import (
     CODE_VERSION,
-    CacheStats,
     ResultCache,
     default_cache_dir,
     result_key,
@@ -90,7 +89,6 @@ from repro.runtime.spec import (
 
 __all__ = [
     "CODE_VERSION",
-    "CacheStats",
     "CancelToken",
     "DEFAULT_CHUNK_SIZE",
     "DEFAULT_METRICS",

@@ -23,12 +23,14 @@ The spec grammar (the ``REPRO_FAULTS`` environment variable and the CLI's
     chunk@1=kill                 kill the worker solving chunk 1 (SIGKILL)
     cell@2=timeout:5             cell task 2 sleeps 5 s (past any deadline)
     trajectory@0=raise*2         trajectory 0 raises on its first 2 attempts
-    cache@0=corrupt              truncate the first cache entry written
+    cache@0=corrupt              truncate the first content-store entry written
 
 Sites are the three execution seams (``chunk`` / ``cell`` / ``trajectory``,
-indexed by task dispatch order) plus ``cache`` (indexed by
-:meth:`~repro.runtime.cache.ResultCache.put` order).  A rule fires while
-``attempt < times`` (default 1), so a retried task eventually escapes it.
+indexed by task dispatch order) plus ``cache``, indexed by the order of puts
+to the content store (:mod:`repro.store.content`) across both codecs --
+result-cache and artifact-store puts share one ordinal sequence.  A rule
+fires while ``attempt < times`` (default 1), so a retried task eventually
+escapes it.
 
 Activation mirrors :mod:`repro.obs.trace`: a contextvar scoped by
 :func:`inject_faults`, falling back to a lazily parsed ``REPRO_FAULTS``
@@ -126,8 +128,8 @@ class FaultPlan:
 
     def __init__(self, rules: tuple[FaultRule, ...]) -> None:
         self.rules = tuple(rules)
-        # Ordinal of ResultCache.put calls seen under this plan; the ``cache``
-        # site indexes by it.  Mutable parent-side state only -- task-site
+        # Ordinal of content-store puts (result cache and artifact store
+        # alike) seen under this plan; the ``cache`` site indexes by it.  Mutable parent-side state only -- task-site
         # rules are resolved purely from (site, index, attempt).
         self._cache_puts = 0
 

@@ -81,7 +81,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import hashlib
-import json
 import multiprocessing
 import os
 import sys
@@ -95,6 +94,7 @@ from pathlib import Path
 from repro.obs.journal import append_jsonl, check_schema, read_jsonl
 from repro.obs.metrics import current_registry
 from repro.runtime.faults import current_fault_plan, run_with_faults
+from repro.store.content import content_key
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
@@ -827,8 +827,7 @@ CHECKPOINT_SCHEMA_VERSION = 1
 
 def payload_digest(payload: dict) -> str:
     """Content digest of one cached sweep-point payload (canonical JSON)."""
-    rendering = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(rendering.encode("utf-8")).hexdigest()[:16]
+    return content_key(payload)[:16]
 
 
 class SweepCheckpoint:

@@ -334,6 +334,9 @@ class ScenarioService:
     def stats(self) -> dict:
         """Service state for ``GET /stats`` (admission, tiers, metrics).
 
+        ``store`` (artifact store) and ``cache`` (result cache) report the
+        same fields, or ``None`` when off: ``dir``, ``entries``,
+        ``disk_bytes`` and the :class:`~repro.store.StoreStats` counters.
         ``resilience`` is the run ledger's block of the same name: retries,
         respawns and the worker-pool start decisions (pools started and
         declined, measured start seconds).
@@ -341,17 +344,16 @@ class ScenarioService:
         from repro.obs.ledger import resilience_block
         from repro.obs.metrics import current_registry
 
-        store = None
-        if self._store is not None:
-            store = {
-                "dir": str(self._store.root),
-                "entries": len(self._store),
-                "disk_bytes": self._store.disk_bytes,
-                **self._store.stats.as_dict(),
+        def tier(store) -> dict | None:
+            if store is None:
+                return None
+            return {
+                "dir": str(store.root),
+                "entries": len(store),
+                "disk_bytes": store.disk_bytes,
+                **store.stats.as_dict(),
             }
-        cache = None
-        if self._cache is not None:
-            cache = {"dir": str(self._cache.root), **self._cache.stats.as_dict()}
+
         admission = self._admission.stats()
         requests = (
             admission["accepted"] + admission["coalesced"] + admission["rejected"]
@@ -365,8 +367,8 @@ class ScenarioService:
             "jobs": self._jobs,
             "uptime_s": time.monotonic() - self._started,
             "admission": admission,
-            "store": store,
-            "cache": cache,
+            "store": tier(self._store),
+            "cache": tier(self._cache),
             "resilience": resilience_block(metrics),
             "metrics": metrics,
         }

@@ -1,17 +1,20 @@
-"""Cross-process artifact store for binary NumPy/SciPy intermediates.
+"""Content-addressed stores: one on-disk protocol, two codecs.
 
-The store generalises the JSON-only result cache
-(:mod:`repro.runtime.cache`) to the *binary* warm state that dominates a
-solve's wall time: segment-propagator replay checkpoints, generator-template
-index arrays, assembled coarse-space operators and warm-start distribution
-stacks.  Artifacts are content-addressed (the key digests their identity plus
-the code-version tag), written atomically, digest-verified on read with
-quarantine on corruption, bounded by a byte-budget disk LRU, and fronted by a
-per-process read-through memory tier so hot artifacts cost one dict lookup.
+:mod:`repro.store.content` holds the protocol every disk cache uses --
+sharded entries keyed by canonical-JSON content hashes and the code-version
+tag, atomic writes, a digest verified on every read with quarantine on
+corruption, an mtime-LRU disk budget, the ``cache`` fault site and one stats
+type -- plus :class:`~repro.store.content.ByteLRU`, the one byte-bounded
+in-memory LRU.  Two codecs sit on it: the JSON result cache
+(:class:`repro.runtime.cache.ResultCache`) for finished answers, and
+:class:`~repro.store.artifacts.ArtifactStore` for the *binary* warm state
+that dominates a solve's wall time: segment-propagator replay checkpoints,
+generator-template index arrays, assembled coarse-space operators and
+warm-start distribution stacks, fronted by a per-process read-through memory
+tier so hot artifacts cost one dict lookup.
 
-See :mod:`repro.store.artifacts` for the implementation and
-:mod:`repro.service` for the long-lived server that keeps one store's memory
-tier warm across many requests.
+See :mod:`repro.service` for the long-lived server that keeps one store's
+memory tier warm across many requests.
 """
 
 from repro.store.artifacts import (

@@ -1,29 +1,23 @@
 """Content-addressed, disk-backed artifact store for binary intermediates.
 
-Layout and semantics mirror :class:`repro.runtime.cache.ResultCache`, adapted
-to NumPy payloads:
+:class:`ArtifactStore` is the npz codec over the content-store protocol of
+:mod:`repro.store.content` (sharded entries, atomic writes, verified reads,
+quarantine, disk budget, fault site, stats), plus a read-through memory tier:
 
-* one ``.npz`` archive per artifact under two-character shard directories
-  (``root/ab/<key>.npz``), written uncompressed so round-trips are fast and
-  bitwise exact;
+* one ``.npz`` archive per artifact (``root/ab/<key>.npz``), written
+  uncompressed so round-trips are fast and bitwise exact;
 * each archive embeds its own metadata (``__meta__``, canonical JSON as
   bytes) and an integrity digest (``__digest__``, SHA-256 over every array's
-  name, dtype, shape and raw bytes plus the metadata) so a read either
-  returns exactly what was written or a clean miss;
-* writes are atomic (temp file + ``os.replace``), so concurrent writers of
-  the same key race benignly: the last complete archive wins and a reader
-  can never observe a torn file as a valid artifact;
-* a damaged archive is quarantined on first read -- renamed to
-  ``<key>.corrupt``, counted under ``store.corrupt``, logged once per key --
-  exactly like the result cache;
-* the disk tier is bounded by ``max_bytes`` with mtime-LRU eviction (reads
-  refresh the mtime), and a per-process read-through memory tier (bounded by
-  ``memory_bytes``) serves repeat reads without touching the filesystem.
+  name, dtype, shape and raw bytes plus the metadata), so a read either
+  returns exactly what was written or a clean miss (a damaged archive is
+  quarantined and counted under ``store.corrupt``);
+* a per-process memory tier (a :class:`~repro.store.content.ByteLRU`
+  bounded by ``memory_bytes``) serves repeat reads without touching the
+  filesystem.
 
-Keys come from :func:`artifact_key`, which digests a canonical JSON rendering
-of the artifact's identity together with the cache's code-version tag, so any
-local code edit invalidates every stored artifact at once -- binary warm
-state can never serve stale numbers.
+Keys come from :func:`artifact_key`, which digests the artifact's identity
+together with the code-version tag, so any local code edit invalidates every
+stored artifact at once -- binary warm state can never serve stale numbers.
 
 Ambient resolution: engine seams (propagator cache, template build, coarse
 corrector) call :func:`current_store`, which prefers an explicitly activated
@@ -39,22 +33,26 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
-import tempfile
-import threading
-from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO, ClassVar
 
 import numpy as np
 
-from repro.obs.metrics import current_registry
-from repro.runtime.faults import current_fault_plan
-
-_logger = logging.getLogger(__name__)
+from repro.store.content import (
+    CODE_VERSION,
+    DEFAULT_MEMORY_BYTES,
+    DEFAULT_STORE_BYTES,
+    STORE_DIR_ENV,
+    ByteLRU,
+    ContentStore,
+    StoreStats,
+    content_key,
+    default_store_dir,
+)
 
 __all__ = [
     "DEFAULT_MEMORY_BYTES",
@@ -69,52 +67,21 @@ __all__ = [
     "store_context",
 ]
 
-#: Environment variable overriding the default store directory (and enabling
-#: the ambient store when no explicit :func:`store_context` is active).
-STORE_DIR_ENV = "REPRO_STORE_DIR"
-
-#: Disk budget: generous, because artifacts are the expensive-to-recompute
-#: kind (a diurnal replay is ~tens of MB) -- but bounded, so an unattended
-#: service cannot fill the disk.
-DEFAULT_STORE_BYTES = 2 * 1024**3
-
-#: Memory-tier budget, matching the propagator cache's in-process default.
-DEFAULT_MEMORY_BYTES = 256 * 1024**2
-
 #: Reserved array names inside an archive (not available to callers).
 _RESERVED = ("__meta__", "__digest__")
 
 
-def default_store_dir() -> Path:
-    """Return the default store directory.
-
-    ``$REPRO_STORE_DIR`` wins when set; otherwise the store nests under the
-    result cache's directory (which itself honours its own env overrides).
-    """
-    override = os.environ.get(STORE_DIR_ENV)
-    if override:
-        return Path(override)
-    from repro.runtime.cache import default_cache_dir
-
-    return default_cache_dir() / "store"
-
-
-def artifact_key(kind: str, identity: dict, *, code_version: str | None = None) -> str:
+def artifact_key(kind: str, identity: dict, *, code_version: str = CODE_VERSION) -> str:
     """Return the content hash of one artifact.
 
     ``kind`` namespaces the artifact family (``"propagator"``,
     ``"template"``, ``"coarse-operator"``, ``"warm-seed"``); ``identity``
     is a JSON-renderable dictionary of everything that determines the
-    artifact's bytes.  The cache's code-version tag is mixed in by default,
-    so code edits invalidate all artifacts exactly like JSON results.
+    artifact's bytes.  The code-version tag is mixed in by default, so code
+    edits invalidate all artifacts exactly like JSON results.
     """
-    if code_version is None:
-        from repro.runtime.cache import CODE_VERSION
-
-        code_version = CODE_VERSION
     payload = {"kind": kind, "code_version": code_version, "identity": identity}
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=repr)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return content_key(payload, default=repr)
 
 
 def _payload_digest(arrays: dict[str, np.ndarray], meta_bytes: bytes) -> str:
@@ -128,39 +95,31 @@ def _payload_digest(arrays: dict[str, np.ndarray], meta_bytes: bytes) -> str:
         digest.update(b"\0")
         digest.update(repr(value.shape).encode("utf-8"))
         digest.update(b"\0")
-        digest.update(np.ascontiguousarray(value).tobytes())
+        digest.update(np.ascontiguousarray(value))  # hashed in place, no copy
     digest.update(meta_bytes)
     return digest.hexdigest()
 
 
-@dataclass
-class StoreStats:
-    """Traffic counters of one :class:`ArtifactStore` instance."""
+def _nbytes(arrays: dict[str, np.ndarray]) -> int:
+    return sum(int(value.nbytes) for value in arrays.values())
 
-    hits: int = 0
-    memory_hits: int = 0
-    misses: int = 0
-    writes: int = 0
-    evictions: int = 0
-    corrupt: int = 0
-    bytes_read: int = 0
-    bytes_written: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "memory_hits": self.memory_hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "evictions": self.evictions,
-            "corrupt": self.corrupt,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-        }
+def _decode(handle: BinaryIO) -> tuple[dict[str, np.ndarray], dict]:
+    """Read and verify one archive; raise on any damage."""
+    with np.load(handle, allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    meta_bytes = arrays.pop("__meta__").tobytes()
+    recorded = arrays.pop("__digest__").tobytes().decode("ascii")
+    if _payload_digest(arrays, meta_bytes) != recorded:
+        raise ValueError("archive digest mismatch")
+    meta = json.loads(meta_bytes.decode("utf-8"))
+    for value in arrays.values():
+        value.setflags(write=False)
+    return arrays, meta
 
 
 @dataclass
-class ArtifactStore:
+class ArtifactStore(ContentStore):
     """Disk-backed artifact store with a read-through memory tier.
 
     ``get``/``put`` speak ``(arrays, meta)`` pairs: a dict of named NumPy
@@ -169,279 +128,61 @@ class ArtifactStore:
     copy.  A miss (absent, unreadable, corrupt, or digest-mismatched entry)
     returns ``None`` -- the worst a broken store can do is recompute.
 
-    Instances are **thread-safe**: one re-entrant lock serialises the
-    memory-tier LRU, the stats counters and the disk accounting, so the
-    service tier's concurrent handler threads can share a single store.
-    Cross-*process* safety was already guaranteed by the atomic-rename
-    write protocol; the lock adds the in-process half.
+    Thread-safe: the protocol's lock guards the stats and disk accounting,
+    the memory tier has its own, and file I/O holds neither, so the service
+    tier's concurrent handler threads share a single store.
     """
 
-    root: Path
+    suffix: ClassVar[str] = ".npz"
+    metric_prefix: ClassVar[str] = "store"
+    corrupt_metric: ClassVar[str] = "store.corrupt"
+
     max_bytes: int = DEFAULT_STORE_BYTES
     memory_bytes: int = DEFAULT_MEMORY_BYTES
-    stats: StoreStats = field(default_factory=StoreStats)
-    _memory: "OrderedDict[str, tuple[dict, dict, int]]" = field(
-        default_factory=OrderedDict, repr=False
-    )
-    _memory_used: int = field(default=0, repr=False)
-    _disk_bytes: int | None = field(default=None, repr=False)
-    _quarantine_logged: set = field(default_factory=set, repr=False)
-    _lock: threading.RLock = field(
-        default_factory=threading.RLock, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
-        self.root = Path(self.root)
-
-    # ------------------------------------------------------------------ #
-    # Paths and accounting
-    # ------------------------------------------------------------------ #
-    def path_for(self, key: str) -> Path:
-        """Return the archive path of ``key`` (two-character shard dirs)."""
-        return self.root / key[:2] / f"{key}.npz"
-
-    def _scan_disk_bytes(self) -> int:
-        total = 0
-        if self.root.is_dir():
-            for path in self.root.glob("*/*.npz"):
-                try:
-                    total += path.stat().st_size
-                except OSError:
-                    continue
-        return total
-
-    @property
-    def disk_bytes(self) -> int:
-        """Current disk usage (lazily scanned once, then tracked)."""
-        if self._disk_bytes is None:
-            self._disk_bytes = self._scan_disk_bytes()
-        return self._disk_bytes
-
-    def __len__(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.npz"))
-
-    # ------------------------------------------------------------------ #
-    # Memory tier
-    # ------------------------------------------------------------------ #
-    def _remember(self, key: str, arrays: dict, meta: dict) -> None:
-        nbytes = sum(int(value.nbytes) for value in arrays.values())
-        if nbytes > self.memory_bytes:
-            return
-        stale = self._memory.pop(key, None)
-        if stale is not None:
-            self._memory_used -= stale[2]
-        self._memory[key] = (arrays, meta, nbytes)
-        self._memory_used += nbytes
-        while self._memory_used > self.memory_bytes and self._memory:
-            _, (_, _, dropped) = self._memory.popitem(last=False)
-            self._memory_used -= dropped
-        current_registry().gauge("store.memory_bytes", float(self._memory_used))
+        super().__post_init__()
+        self._memory = ByteLRU(self.memory_bytes, gauge="store.memory_bytes")
 
     def clear_memory(self) -> None:
         """Drop the memory tier (disk entries stay)."""
-        with self._lock:
-            self._memory.clear()
-            self._memory_used = 0
-        current_registry().gauge("store.memory_bytes", 0.0)
+        self._memory.clear()
 
-    # ------------------------------------------------------------------ #
-    # Read path
-    # ------------------------------------------------------------------ #
     def get(self, key: str) -> tuple[dict[str, np.ndarray], dict] | None:
         """Return ``(arrays, meta)`` for ``key`` or ``None`` on a miss."""
-        with self._lock:
-            return self._get_locked(key)
-
-    def _get_locked(self, key: str) -> tuple[dict[str, np.ndarray], dict] | None:
-        registry = current_registry()
         entry = self._memory.get(key)
         if entry is not None:
-            self._memory.move_to_end(key)
-            arrays, meta, _ = entry
-            self.stats.hits += 1
-            self.stats.memory_hits += 1
-            registry.count("store.hits")
-            registry.count("store.memory_hits")
-            return dict(arrays), dict(meta)
+            self._tally(hits=1, memory_hits=1)
+        else:
+            entry = self._read(key, _decode)
+            if entry is None:
+                return None
+            self._memory.put(key, entry, _nbytes(entry[0]))
+        arrays, meta = entry
+        return dict(arrays), dict(meta)
 
-        path = self.path_for(key)
-        try:
-            with np.load(path, allow_pickle=False) as archive:
-                payload = {name: archive[name] for name in archive.files}
-        except FileNotFoundError:
-            self.stats.misses += 1
-            registry.count("store.misses")
-            return None
-        except Exception:  # damaged archive: BadZipFile, ValueError, OSError...
-            self._quarantine(key, path)
-            self.stats.misses += 1
-            registry.count("store.misses")
-            return None
-
-        meta_raw = payload.pop("__meta__", None)
-        digest_raw = payload.pop("__digest__", None)
-        if meta_raw is None or digest_raw is None:
-            self._quarantine(key, path)
-            self.stats.misses += 1
-            registry.count("store.misses")
-            return None
-        meta_bytes = bytes(meta_raw.tobytes())
-        recorded = digest_raw.tobytes().decode("ascii", "replace")
-        if _payload_digest(payload, meta_bytes) != recorded:
-            self._quarantine(key, path)
-            self.stats.misses += 1
-            registry.count("store.misses")
-            return None
-
-        try:
-            meta = json.loads(meta_bytes.decode("utf-8"))
-        except ValueError:
-            self._quarantine(key, path)
-            self.stats.misses += 1
-            registry.count("store.misses")
-            return None
-
-        for value in payload.values():
-            value.setflags(write=False)
-        nbytes = sum(int(value.nbytes) for value in payload.values())
-        self.stats.hits += 1
-        self.stats.bytes_read += nbytes
-        registry.count("store.hits")
-        registry.count("store.bytes_read", nbytes)
-        try:
-            os.utime(path)  # refresh LRU recency
-        except OSError:
-            pass
-        self._remember(key, payload, meta)
-        return dict(payload), dict(meta)
-
-    def _quarantine(self, key: str, path: Path) -> None:
-        """Move a corrupt archive aside so the key reads as a clean miss."""
-        self.stats.corrupt += 1
-        current_registry().count("store.corrupt")
-        try:
-            size = path.stat().st_size
-            os.replace(path, path.with_name(f"{key}.corrupt"))
-            if self._disk_bytes is not None:
-                self._disk_bytes = max(0, self._disk_bytes - size)
-        except OSError:
-            pass  # unmovable (e.g. read-only store): the miss still recomputes
-        if key not in self._quarantine_logged:
-            self._quarantine_logged.add(key)
-            _logger.warning(
-                "quarantined corrupt store artifact %s -> %s.corrupt", key, key
-            )
-
-    # ------------------------------------------------------------------ #
-    # Write path
-    # ------------------------------------------------------------------ #
     def put(self, key: str, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
         """Atomically store ``arrays`` (+ ``meta``) under ``key``.
 
-        The archive is written whole to a temp file and renamed into place,
-        so a concurrent reader sees either the previous complete artifact or
+        A concurrent reader sees either the previous complete artifact or
         the new one, never a mixture; concurrent writers of the same key are
         last-writer-wins.
         """
-        with self._lock:
-            self._put_locked(key, arrays, meta)
-
-    def _put_locked(
-        self, key: str, arrays: dict[str, np.ndarray], meta: dict | None
-    ) -> None:
         for name in arrays:
             if name in _RESERVED:
                 raise ValueError(f"array name {name!r} is reserved")
-        frozen: dict[str, np.ndarray] = {}
-        for name, value in arrays.items():
-            frozen[name] = np.ascontiguousarray(value)
+        frozen = {name: np.ascontiguousarray(value) for name, value in arrays.items()}
         meta = dict(meta or {})
         meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
         digest = _payload_digest(frozen, meta_bytes)
         payload = dict(frozen)
         payload["__meta__"] = np.frombuffer(meta_bytes, dtype=np.uint8)
         payload["__digest__"] = np.frombuffer(digest.encode("ascii"), dtype=np.uint8)
-
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        previous = 0
-        try:
-            previous = path.stat().st_size
-        except OSError:
-            pass
-        handle = tempfile.NamedTemporaryFile(
-            "wb",
-            dir=path.parent,
-            prefix=f".{key[:8]}-",
-            suffix=".tmp",
-            delete=False,
-        )
-        try:
-            with handle:
-                np.savez(handle, **payload)
-            os.replace(handle.name, path)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
-
-        try:
-            written = path.stat().st_size
-        except OSError:
-            written = 0
-        registry = current_registry()
-        self.stats.writes += 1
-        self.stats.bytes_written += written
-        registry.count("store.writes")
-        registry.count("store.bytes_written", written)
-        if self._disk_bytes is None:
-            self._disk_bytes = self._scan_disk_bytes()
-        else:
-            self._disk_bytes += written - previous
-        self._evict_over_budget()
-        registry.gauge("store.bytes", float(self.disk_bytes))
-
-        plan = current_fault_plan()
-        if plan is not None and plan.take_cache_corruption():
-            # Injected corruption (the shared ``cache`` fault site): truncate
-            # the just-written archive so the next read exercises quarantine.
-            # Deliberately skip the memory tier so the corruption is visible
-            # to this very process.
-            path.write_bytes(path.read_bytes()[: max(1, written // 2)])
-            registry.count("faults.injected")
-            return
+        if not self._write(key, lambda handle: np.savez(handle, **payload)):
+            return  # injected corruption: keep it visible to this process too
         for value in frozen.values():
             value.setflags(write=False)
-        self._remember(key, frozen, meta)
-
-    def _evict_over_budget(self) -> None:
-        if self.disk_bytes <= self.max_bytes:
-            return
-        entries = []
-        for path in self.root.glob("*/*.npz"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, stat.st_size, path))
-        entries.sort()
-        total = sum(size for _, size, _ in entries)
-        registry = current_registry()
-        for _, size, path in entries:
-            if total <= self.max_bytes:
-                break
-            try:
-                os.unlink(path)
-            except OSError:
-                continue
-            total -= size
-            self.stats.evictions += 1
-            registry.count("store.evictions")
-        self._disk_bytes = total
+        self._memory.put(key, (frozen, meta), _nbytes(frozen))
 
 
 def default_store() -> ArtifactStore:

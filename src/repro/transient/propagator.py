@@ -25,7 +25,8 @@ simply misses the cache and is recomputed, so memoisation can never change a
 trajectory -- only skip work that would reproduce known numbers.
 
 The cache is bounded by a byte budget (distribution checkpoints are the
-payload) with least-recently-used eviction, and is shared process-wide by
+payload) with least-recently-used eviction -- the store's one
+:class:`~repro.store.content.ByteLRU` -- and is shared process-wide by
 default so consecutive :class:`~repro.transient.model.TransientModel` solves
 in one process -- cache-miss sweep points, repeated CLI runs, benchmark A/B
 arms -- reuse each other's segments.  Worker processes of a transient sweep
@@ -37,15 +38,15 @@ ones.
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
-from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from repro.core.parameters import GprsModelParameters
 from repro.obs.metrics import current_registry
+from repro.store.artifacts import artifact_key, current_store
+from repro.store.content import DEFAULT_MEMORY_BYTES, ByteLRU, content_key
 
 __all__ = [
     "ENTRY_OVERHEAD_BYTES",
@@ -54,9 +55,6 @@ __all__ = [
     "default_propagator_cache",
     "segment_key",
 ]
-
-#: Default byte budget of the process-wide cache (checkpoint payload only).
-DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
 
 
 def segment_key(
@@ -81,11 +79,8 @@ def segment_key(
     start vector -- changes the key, so a hit guarantees a bitwise-faithful
     replay.
     """
-    rendering = json.dumps(
-        asdict(params), sort_keys=True, separators=(",", ":"), default=repr
-    )
     digest = hashlib.sha256()
-    digest.update(rendering.encode("utf-8"))
+    digest.update(content_key(asdict(params), default=repr).encode("ascii"))
     digest.update(
         np.array(
             [
@@ -150,9 +145,7 @@ class SegmentReplay:
 
 
 def _store_key(key: str) -> str:
-    """Artifact-store key of one segment digest (lazy import: see module)."""
-    from repro.store.artifacts import artifact_key
-
+    """Artifact-store key of one segment digest."""
     return artifact_key("propagator", {"segment": key})
 
 
@@ -176,7 +169,7 @@ def _replay_digest(replay: SegmentReplay) -> str:
 
 #: Per-entry bookkeeping bytes beyond the checkpoint payload: the 16-hex
 #: verification digest, the scalar metadata (matvec count, early-stop offset
-#: and residual) and the OrderedDict slot itself.  Budgets and the
+#: and residual) and the LRU slot itself.  Budgets and the
 #: ``cache.propagator.bytes`` gauge include it so the in-memory accounting
 #: reports consistently with the artifact store's on-disk sizes (which pay
 #: the same metadata inside each archive).
@@ -202,22 +195,27 @@ class PropagatorCache:
     guarantee.  ``store=None`` disables the tier (per-process behaviour,
     exactly as before).
 
-    Thread-safe: the LRU dict, byte accounting and hit/miss counters all
-    mutate under one re-entrant lock, so the service tier's concurrent
-    solve threads can share the process-wide default cache.
+    Thread-safe: the LRU has its own lock and one more guards the hit/miss
+    counters, so the service tier's concurrent solve threads can share the
+    process-wide default cache.
     """
 
-    max_bytes: int = DEFAULT_CACHE_BYTES
+    max_bytes: int = DEFAULT_MEMORY_BYTES
     store: object = "ambient"
     hits: int = 0
     misses: int = 0
     corrupt: int = 0
     store_hits: int = 0
-    _entries: OrderedDict = field(default_factory=OrderedDict, repr=False)
-    _bytes: int = 0
-    _lock: threading.RLock = field(
-        default_factory=threading.RLock, repr=False, compare=False
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        self._lru = ByteLRU(
+            self.max_bytes,
+            gauge="cache.propagator.bytes",
+            evictions="cache.propagator.evictions",
+        )
 
     @staticmethod
     def entry_bytes(replay: SegmentReplay) -> int:
@@ -225,63 +223,41 @@ class PropagatorCache:
         return replay.nbytes + ENTRY_OVERHEAD_BYTES
 
     def _resolve_store(self):
-        if self.store == "ambient":
-            from repro.store.artifacts import current_store
+        return current_store() if self.store == "ambient" else self.store
 
-            return current_store()
-        return self.store
+    def _count(self, **counts: int) -> None:
+        with self._lock:
+            for name, amount in counts.items():
+                setattr(self, name, getattr(self, name) + amount)
+        registry = current_registry()
+        for name, amount in counts.items():
+            registry.count(f"cache.propagator.{name}", amount)
 
     def get(self, key: str) -> SegmentReplay | None:
         """Return the replay stored under ``key`` (refreshing its LRU slot)."""
-        with self._lock:
-            return self._get_locked(key)
-
-    def _get_locked(self, key: str) -> SegmentReplay | None:
-        entry = self._entries.get(key)
+        entry = self._lru.get(key)
         if entry is None:
             replay = self._load_from_store(key)
-            if replay is not None:
-                self.hits += 1
-                self.store_hits += 1
-                current_registry().count("cache.propagator.hits")
-                current_registry().count("cache.propagator.store_hits")
-                return replay
-            self.misses += 1
-            current_registry().count("cache.propagator.misses")
-            return None
+            if replay is None:
+                self._count(misses=1)
+                return None
+            self._count(hits=1, store_hits=1)
+            return replay
         replay, digest = entry
         if _replay_digest(replay) != digest:
-            self._entries.pop(key)
-            self._bytes -= self.entry_bytes(replay)
-            self.corrupt += 1
-            self.misses += 1
-            current_registry().count("cache.propagator.corrupt")
-            current_registry().count("cache.propagator.misses")
-            current_registry().gauge("cache.propagator.bytes", self._bytes)
+            self._lru.discard(key)
+            self._count(corrupt=1, misses=1)
             return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        current_registry().count("cache.propagator.hits")
+        self._count(hits=1)
         return replay
 
     def put(self, key: str, replay: SegmentReplay) -> None:
         """Store ``replay``, evicting least-recently-used entries over budget."""
-        with self._lock:
-            if self.entry_bytes(replay) <= self.max_bytes:
-                self._insert(key, replay)
-            self._persist_to_store(key, replay)
+        self._insert(key, replay)
+        self._persist_to_store(key, replay)
 
     def _insert(self, key: str, replay: SegmentReplay) -> None:
-        previous = self._entries.pop(key, None)
-        if previous is not None:
-            self._bytes -= self.entry_bytes(previous[0])
-        self._entries[key] = (replay, _replay_digest(replay))
-        self._bytes += self.entry_bytes(replay)
-        while self._bytes > self.max_bytes and self._entries:
-            _, (evicted, _) = self._entries.popitem(last=False)
-            self._bytes -= self.entry_bytes(evicted)
-            current_registry().count("cache.propagator.evictions")
-        current_registry().gauge("cache.propagator.bytes", self._bytes)
+        self._lru.put(key, (replay, _replay_digest(replay)), self.entry_bytes(replay))
 
     def _load_from_store(self, key: str) -> SegmentReplay | None:
         store = self._resolve_store()
@@ -303,8 +279,7 @@ class PropagatorCache:
             )
         except (KeyError, IndexError, TypeError, ValueError):
             return None  # malformed artifact: treat as a plain miss
-        if self.entry_bytes(replay) <= self.max_bytes:
-            self._insert(key, replay)
+        self._insert(key, replay)
         return replay
 
     def _persist_to_store(self, key: str, replay: SegmentReplay) -> None:
@@ -333,17 +308,14 @@ class PropagatorCache:
             pass  # an unwritable store degrades to per-process caching
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._lru)
 
     @property
     def stored_bytes(self) -> int:
-        return self._bytes
+        return self._lru.nbytes
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._bytes = 0
-        current_registry().gauge("cache.propagator.bytes", 0.0)
+        self._lru.clear()
 
 
 _DEFAULT_CACHE: PropagatorCache | None = None

@@ -29,13 +29,12 @@ scenario specs and content-addressed cache keys.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from repro.core.parameters import GprsModelParameters
+from repro.store.content import content_key
 
 __all__ = [
     "SEGMENT_OVERRIDE_FIELDS",
@@ -231,10 +230,7 @@ class RateSchedule:
         """
         cached = self.__dict__.get("_digest")
         if cached is None:
-            canonical = json.dumps(
-                self.to_dict(), sort_keys=True, separators=(",", ":")
-            )
-            cached = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+            cached = content_key(self.to_dict())[:16]
             object.__setattr__(self, "_digest", cached)
         return cached
 
@@ -338,10 +334,7 @@ class WorkloadProfile:
         """
         cached = self.__dict__.get("_digest")
         if cached is None:
-            canonical = json.dumps(
-                self.to_dict(), sort_keys=True, separators=(",", ":")
-            )
-            cached = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+            cached = content_key(self.to_dict())[:16]
             object.__setattr__(self, "_digest", cached)
         return cached
 

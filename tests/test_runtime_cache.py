@@ -5,12 +5,16 @@ The load-bearing properties asserted here:
 * cache keys are identical across processes (pure function of content);
 * any mutation of the effective configuration changes the key (miss);
 * a parallel sweep returns bitwise-identical results to the serial path;
-* a second run against a warm cache performs **zero** solver calls.
+* a second run against a warm cache performs **zero** solver calls;
+* a poisoned entry (not an object, or an altered number) is quarantined and
+  re-solved to the cold answer, never served.
 """
 
 from __future__ import annotations
 
+import json
 import multiprocessing
+import re
 import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -19,6 +23,7 @@ import pytest
 
 from repro.core.model import GprsMarkovModel
 from repro.experiments.scale import ExperimentScale
+from repro.obs.metrics import current_registry
 from repro.runtime import (
     ResultCache,
     parameters_from_dict,
@@ -80,6 +85,13 @@ class TestKeys:
             != base_key
         )
 
+    def test_key_refuses_a_non_json_parameter(self):
+        """A value JSON cannot render is an error, never its ``repr``: a
+        repr that holds an address would miss silently in every process."""
+        params = {**_spec_params_dict("figure12"), "gprs_fraction": object()}
+        with pytest.raises(TypeError):
+            result_key(params, solver="auto", solver_tol=1e-9)
+
     def test_parameters_round_trip(self):
         params = scenario("bursty-sessions").parameters(SMOKE)
         assert parameters_from_dict(parameters_to_dict(params)) == params
@@ -91,8 +103,11 @@ class TestResultCache:
         assert cache.get("ab" * 32) is None
         cache.put("ab" * 32, {"value": 1.25})
         assert cache.get("ab" * 32) == {"value": 1.25}
+        entry_bytes = cache.path_for("ab" * 32).stat().st_size
         assert cache.stats.as_dict() == {
             "hits": 1, "misses": 1, "writes": 1, "corrupt": 0,
+            "memory_hits": 0, "evictions": 0,
+            "bytes_read": entry_bytes, "bytes_written": entry_bytes,
         }
         assert len(cache) == 1
 
@@ -173,7 +188,7 @@ class TestResultCache:
         def _interrupted(src, dst):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr("repro.runtime.cache.os.replace", _interrupted)
+        monkeypatch.setattr(os_module, "replace", _interrupted)
         with pytest.raises(KeyboardInterrupt):
             cache.put(key, {"value": 5.0})
         monkeypatch.undo()
@@ -283,3 +298,88 @@ class TestWarmCacheViaCli:
         assert "0 solved" in second
         # Identical numbers modulo the cache-accounting header line.
         assert first.splitlines()[2:] == second.splitlines()[2:]
+
+
+#: Damage an entry can suffer that still parses as JSON: the wrong kind of
+#: document in place of the entry, or one number altered under its digest.
+POISONS = ("list", "string", "number")
+
+
+def _alter_one_number(match: re.Match) -> str:
+    return match.group(1) + str((int(match.group(2)) + 1) % 10)
+
+
+def _poison_entries(root, poison: str) -> int:
+    """Poison every result entry under ``root``; return how many."""
+    paths = sorted(root.glob("*/*.json"))
+    for path in paths:
+        if poison == "list":
+            path.write_text("[]", encoding="utf-8")
+        elif poison == "string":
+            path.write_text('"x"', encoding="utf-8")
+        else:
+            digest, _, body = path.read_bytes().partition(b"\n")
+            altered = re.sub(r"(\d\.\d*)(\d)", _alter_one_number, body.decode(), count=1)
+            assert altered != body.decode()
+            json.loads(altered)  # still a valid JSON object, only a number moved
+            path.write_bytes(digest + b"\n" + altered.encode())
+    return len(paths)
+
+
+class TestPoisonedEntriesRecompute:
+    @pytest.mark.parametrize("poison", POISONS)
+    def test_run_sweep_quarantines_and_resolves(self, tmp_path, poison):
+        cache = ResultCache(tmp_path)
+        spec = scenario("figure12")
+        cold = run_sweep(spec, SMOKE, cache=cache)
+        poisoned = _poison_entries(tmp_path, poison)
+        assert poisoned == len(cold.points)
+        baseline = current_registry().snapshot()
+        rerun = run_sweep(spec, SMOKE, cache=cache)
+        delta = current_registry().delta_since(baseline)["counters"]
+        assert cache.stats.corrupt == poisoned
+        assert delta["cache.corrupt"] == poisoned
+        assert rerun.cache_hits == 0
+        assert [point.values for point in rerun.points] == [
+            point.values for point in cold.points
+        ]
+        assert len(list(tmp_path.glob("*/*.corrupt"))) == poisoned
+
+    @pytest.mark.parametrize("poison", POISONS)
+    def test_cli_sweep_exits_0_with_the_cold_table(self, tmp_path, capsys, poison):
+        from repro.cli import main
+
+        argv = [
+            "sweep", "figure12", "--preset", "smoke",
+            "--cache-dir", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        _poison_entries(tmp_path, poison)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold  # 0 hit(s), every point re-solved
+
+    @pytest.mark.parametrize("poison", POISONS)
+    def test_served_run_answers_the_cold_canonical_bytes(self, tmp_path, poison):
+        from repro.service import ScenarioService, ServiceClient, create_server
+
+        service = ScenarioService(jobs=1, cache=ResultCache(tmp_path))
+        server = create_server(service, "127.0.0.1", 0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        client = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
+        request = {"command": "sweep", "scenario": "figure12", "preset": "smoke"}
+        try:
+            cold = client.run(request)
+            assert cold["ok"], cold
+            poisoned = _poison_entries(tmp_path, poison)
+            served = client.run(request)
+            assert served["ok"], served
+            assert served["canonical"] == cold["canonical"]
+            assert served["metrics"]["counters"]["cache.corrupt"] == poisoned
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()

@@ -71,6 +71,26 @@ class TestPlanResolution:
         assert plan.take_cache_corruption() is True   # put 1
         assert plan.take_cache_corruption() is False  # put 2
 
+    def test_cache_ordinals_are_shared_by_both_codecs(self, tmp_path):
+        """``cache@N`` counts puts to the content store across both codecs:
+        after one artifact put, ``cache@1`` corrupts the next result put."""
+        import numpy as np
+
+        from repro.runtime.cache import ResultCache
+        from repro.store import ArtifactStore
+
+        store = ArtifactStore(tmp_path / "store")
+        cache = ResultCache(tmp_path / "cache")
+        with inject_faults("cache@1=corrupt"):
+            store.put("a" * 64, {"x": np.arange(4.0)})  # put 0
+            cache.put("b" * 64, {"value": 1.0})  # put 1
+        store.clear_memory()
+        assert store.get("a" * 64) is not None
+        assert store.stats.corrupt == 0
+        assert cache.get("b" * 64) is None
+        assert cache.stats.corrupt == 1
+        assert cache.path_for("b" * 64).with_name(f"{'b' * 64}.corrupt").exists()
+
 
 class TestActivation:
     def test_no_plan_by_default(self):

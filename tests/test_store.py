@@ -1,4 +1,4 @@
-"""Tests of the cross-process artifact store (repro.store)."""
+"""Tests of the content store (repro.store): both codecs and the artifact store."""
 
 from __future__ import annotations
 
@@ -6,11 +6,12 @@ import json
 import multiprocessing
 import os
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from repro.runtime.cache import CODE_VERSION, default_cache_dir
+from repro.runtime.cache import CODE_VERSION, ResultCache, default_cache_dir
 from repro.runtime.faults import FaultPlan, inject_faults
 from repro.store import (
     STORE_DIR_ENV,
@@ -20,6 +21,7 @@ from repro.store import (
     default_store_dir,
     store_context,
 )
+from repro.store.content import ByteLRU
 
 
 def _arrays(seed: int = 7, size: int = 256) -> dict[str, np.ndarray]:
@@ -108,119 +110,231 @@ class TestRoundTrip:
         assert reader.stats.memory_hits == 0  # came from disk, not memory
 
 
-class TestCorruption:
-    def test_truncated_archive_is_quarantined(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        key = "1" * 64
-        store.put(key, _arrays())
+class _Codec:
+    """Common part of the test adapters: build a store, budget optional."""
+
+    cls: type
+
+    def store(self, root, max_bytes=None):
+        store = self.cls(root)
+        if max_bytes is not None:
+            store.max_bytes = max_bytes  # a class constant on the JSON codec
+        return store
+
+
+class _NpzCodec(_Codec):
+    """Test adapter of the npz codec (:class:`ArtifactStore`)."""
+
+    name = "npz"
+    cls = ArtifactStore
+
+    def payload(self, seed: int = 7, size: int = 256):
+        return _arrays(seed, size), {"seed": seed}
+
+    def put(self, store, key, payload) -> None:
+        store.put(key, *payload)
+
+    def read(self, store, key):
+        """``(seed, values)`` of the stored entry, or ``None`` on a miss."""
+        loaded = store.get(key)
+        return None if loaded is None else (loaded[1]["seed"], loaded[0]["values"])
+
+    def drop_memory(self, store) -> None:
         store.clear_memory()
+
+
+class _JsonCodec(_Codec):
+    """Test adapter of the JSON codec (:class:`ResultCache`)."""
+
+    name = "json"
+    cls = ResultCache
+
+    def payload(self, seed: int = 7, size: int = 256):
+        return {"seed": seed, "values": _arrays(seed, size)["values"].tolist()}
+
+    def put(self, store, key, payload) -> None:
+        store.put(key, payload)
+
+    def read(self, store, key):
+        loaded = store.get(key)
+        return None if loaded is None else (loaded["seed"], np.asarray(loaded["values"]))
+
+    def drop_memory(self, store) -> None:
+        pass  # no memory tier
+
+
+CODECS = {codec.name: codec for codec in (_NpzCodec(), _JsonCodec())}
+
+# The protocol tests below run once per codec: each class reads its codec
+# from the ``codec`` attribute, and a ``...Json`` subclass reruns every test
+# on the JSON codec (the npz runs keep their original test ids).
+
+
+class TestCorruption:
+    codec = CODECS["npz"]
+
+    def test_truncated_archive_is_quarantined(self, tmp_path):
+        store = self.codec.store(tmp_path)
+        key = "1" * 64
+        self.codec.put(store, key, self.codec.payload())
+        self.codec.drop_memory(store)
         path = store.path_for(key)
         path.write_bytes(path.read_bytes()[:40])
-        assert store.get(key) is None
+        assert self.codec.read(store, key) is None
         assert store.stats.corrupt == 1
         assert not path.exists()
         assert path.with_name(f"{key}.corrupt").exists()
-        assert store.get(key) is None  # quarantined: stays a clean miss
+        assert self.codec.read(store, key) is None  # quarantined: a clean miss
+        assert store.stats.corrupt == 1
 
     def test_bitflip_fails_the_digest_check(self, tmp_path):
-        store = ArtifactStore(tmp_path)
+        store = self.codec.store(tmp_path)
         key = "2" * 64
-        store.put(key, _arrays())
-        store.clear_memory()
+        self.codec.put(store, key, self.codec.payload())
+        self.codec.drop_memory(store)
         path = store.path_for(key)
         blob = bytearray(path.read_bytes())
-        blob[len(blob) // 2] ^= 0xFF  # flip one payload byte, zip still parses
+        blob[len(blob) // 2] ^= 0xFF  # flip one payload byte, the container still parses
         path.write_bytes(bytes(blob))
-        assert store.get(key) is None
+        assert self.codec.read(store, key) is None
         assert store.stats.corrupt == 1
         assert path.with_name(f"{key}.corrupt").exists()
 
     def test_injected_cache_corruption_exercises_quarantine(self, tmp_path):
-        """`--inject-faults cache@0=corrupt` hits the store's put site too."""
-        store = ArtifactStore(tmp_path)
+        """`--inject-faults cache@0=corrupt` hits every codec's put site."""
+        store = self.codec.store(tmp_path)
         key = "3" * 64
         with inject_faults(FaultPlan.parse("cache@0=corrupt")):
-            store.put(key, _arrays())
-        assert store.get(key) is None  # truncated archive -> quarantine
+            self.codec.put(store, key, self.codec.payload())
+        assert self.codec.read(store, key) is None  # truncated entry -> quarantine
         assert store.stats.corrupt == 1
         assert store.path_for(key).with_name(f"{key}.corrupt").exists()
         # The next write of the same key heals the entry.
-        arrays = _arrays()
-        store.put(key, arrays)
-        loaded = store.get(key)
-        assert loaded is not None
-        assert np.array_equal(loaded[0]["values"], arrays["values"])
+        payload = self.codec.payload()
+        self.codec.put(store, key, payload)
+        seed, values = self.codec.read(store, key)
+        assert seed == 7
+        assert np.array_equal(values, _arrays()["values"])
+
+
+class TestCorruptionJson(TestCorruption):
+    codec = CODECS["json"]
 
 
 class TestEviction:
+    codec = CODECS["npz"]
+
     def test_tiny_budget_evicts_everything(self, tmp_path):
-        store = ArtifactStore(tmp_path, max_bytes=1)  # everything over budget
+        store = self.codec.store(tmp_path, max_bytes=1)  # everything over budget
         for index in range(3):
-            store.put(f"{index}" * 64, {"x": np.full(64, float(index))})
+            self.codec.put(store, f"{index}" * 64, self.codec.payload(index, 64))
         assert store.stats.evictions == 3  # each put evicts its own entry
         assert len(store) == 0
         assert store.disk_bytes == 0
 
     def test_budget_keeps_newest_entries(self, tmp_path):
-        probe = ArtifactStore(tmp_path / "probe")
-        probe.put("a" * 64, {"x": np.zeros(64)})
+        probe = self.codec.store(tmp_path / "probe")
+        self.codec.put(probe, "a" * 64, self.codec.payload(0, 64))
         entry_size = probe.path_for("a" * 64).stat().st_size
-        store = ArtifactStore(tmp_path / "real", max_bytes=2 * entry_size)
+        store = self.codec.store(tmp_path / "real", max_bytes=2 * entry_size)
         now = 1_700_000_000.0
         for index in range(4):
             key = f"{index}" * 64
-            store.put(key, {"x": np.zeros(64)})
+            self.codec.put(store, key, self.codec.payload(0, 64))
             os.utime(store.path_for(key), (now + index, now + index))
             store._evict_over_budget()
         assert not store.path_for("0" * 64).exists()
         assert store.path_for("3" * 64).exists()
         assert store.disk_bytes <= 2 * entry_size
 
+    def test_read_refreshes_recency(self, tmp_path):
+        """A hit bumps the entry's mtime, so the oldest *unread* entry goes first."""
+        probe = self.codec.store(tmp_path / "probe")
+        self.codec.put(probe, "a" * 64, self.codec.payload(0, 64))
+        entry_size = probe.path_for("a" * 64).stat().st_size
+        # Two entries fit under the low-water mark, three exceed the budget.
+        store = self.codec.store(tmp_path / "real", max_bytes=5 * entry_size // 2)
+        old = 1_700_000_000.0
+        for index in range(2):
+            key = f"{index}" * 64
+            self.codec.put(store, key, self.codec.payload(0, 64))
+            os.utime(store.path_for(key), (old + index, old + index))
+        self.codec.drop_memory(store)
+        assert self.codec.read(store, "0" * 64) is not None  # refresh the oldest
+        self.codec.put(store, "2" * 64, self.codec.payload(0, 64))
+        assert store.path_for("0" * 64).exists()
+        assert not store.path_for("1" * 64).exists()
 
-def _concurrent_writer(root: str, key: str, seed: int, rounds: int) -> None:
-    store = ArtifactStore(root)
-    rng = np.random.default_rng(seed)
+    def test_eviction_stops_at_the_low_water_mark(self, tmp_path):
+        """One over-budget put evicts to 90% of the budget, so the next ones
+        fit without another directory scan."""
+        probe = self.codec.store(tmp_path / "probe")
+        self.codec.put(probe, "a" * 64, self.codec.payload(0, 64))
+        entry_size = probe.path_for("a" * 64).stat().st_size
+        store = self.codec.store(tmp_path / "real", max_bytes=10 * entry_size)
+        for index in range(11):
+            self.codec.put(store, f"{index:064x}", self.codec.payload(0, 64))
+        assert store.stats.evictions == 2  # 11 entries -> 9, under 0.9 * budget
+        assert len(store) == 9
+        self.codec.put(store, f"{11:064x}", self.codec.payload(0, 64))
+        assert store.stats.evictions == 2
+        assert store.disk_bytes == 10 * entry_size
+
+
+class TestEvictionJson(TestEviction):
+    codec = CODECS["json"]
+
+
+def _concurrent_writer(codec: str, root: str, key: str, seed: int, rounds: int) -> None:
+    adapter = CODECS[codec]
+    store = adapter.store(root)
     for _ in range(rounds):
-        value = rng.standard_normal(512)
-        store.put(key, {"value": value}, {"seed": seed})
+        adapter.put(store, key, adapter.payload(seed, 512))
 
 
 class TestConcurrency:
+    codec = CODECS["npz"]
+
     def test_two_processes_same_key_last_writer_wins_no_torn_reads(self, tmp_path):
-        """Writers race on one key; every read is a valid artifact or a miss."""
+        """Writers race on one key; every read is a valid entry or a miss."""
         key = "9" * 64
         ctx = multiprocessing.get_context("spawn")
         workers = [
             ctx.Process(
-                target=_concurrent_writer, args=(str(tmp_path), key, seed, 20)
+                target=_concurrent_writer,
+                args=(self.codec.name, str(tmp_path), key, seed, 20),
             )
             for seed in (1, 2)
         ]
         for worker in workers:
             worker.start()
-        reader = ArtifactStore(tmp_path)
+        reader = self.codec.store(tmp_path)
+        expected = {seed: _arrays(seed, 512)["values"] for seed in (1, 2)}
         observed = 0
         try:
             while any(worker.is_alive() for worker in workers):
-                reader.clear_memory()
-                loaded = reader.get(key)
+                self.codec.drop_memory(reader)
+                loaded = self.codec.read(reader, key)
                 if loaded is not None:
-                    arrays, meta = loaded
                     # A torn file would fail the digest check (-> corrupt);
                     # a valid read must be one writer's complete payload.
-                    assert arrays["value"].shape == (512,)
-                    assert meta["seed"] in (1, 2)
+                    seed, values = loaded
+                    assert np.array_equal(values, expected[seed])
                     observed += 1
         finally:
             for worker in workers:
                 worker.join(timeout=60)
         assert reader.stats.corrupt == 0
         for worker in workers:
+            assert not worker.is_alive()
             assert worker.exitcode == 0
-        reader.clear_memory()
-        final = reader.get(key)
-        assert final is not None  # last complete write won
+        self.codec.drop_memory(reader)
+        assert self.codec.read(reader, key) is not None  # last complete write won
         assert observed >= 1
+
+
+class TestConcurrencyJson(TestConcurrency):
+    codec = CODECS["json"]
 
 
 class TestAmbientResolution:
@@ -281,3 +395,37 @@ class TestMetrics:
         assert delta["store.bytes_read"] > 0
         gauges = registry.snapshot()["gauges"]
         assert gauges["store.bytes"] == float(store.disk_bytes)
+
+
+class TestByteLRU:
+    def test_concurrent_puts_keep_the_byte_accounting_exact(self):
+        """Threads sharing one LRU (the service's memory tier) lose no bytes."""
+        lru = ByteLRU(64, gauge="test.lru.bytes")
+        threads, calls = 8, 400
+        barrier = threading.Barrier(threads)
+
+        def hammer(index):
+            barrier.wait(timeout=60)
+            for call in range(calls):
+                key = f"k{(index * calls + call) % 37}"
+                if call % 5 == 0:
+                    lru.discard(key)
+                else:
+                    lru.put(key, call, 1 + call % 7)
+                    lru.get(key)
+
+        workers = [
+            threading.Thread(target=hammer, args=(index,)) for index in range(threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert lru.nbytes == sum(nbytes for _, nbytes in lru._entries.values())
+        assert 0 < lru.nbytes <= lru.max_bytes
