@@ -56,7 +56,7 @@ errors and cache corruption for testing the recovery paths.
 
 Artifact store and service mode (:mod:`repro.store`, :mod:`repro.service`):
 binary intermediates (propagator replay checkpoints, generator templates,
-coarse solver operators) persist across *processes* in a content-addressed
+warm-start seeds) persist across *processes* in a content-addressed
 store (``--store-dir`` or ``$REPRO_STORE_DIR``; off by default for one-shot
 commands, ``--no-store`` forces it off).  ``gprs-repro serve`` keeps the
 store's memory tier, the result cache and a worker pool hot in one
@@ -213,7 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_model_arguments(solve_parser)
     solve_parser.add_argument(
-        "--solver", default="auto", help="steady-state solver (auto, structured, direct, ...)"
+        "--solver", default="auto",
+        choices=("auto", "structured", "gth", "direct", "power", "gauss-seidel"),
+        help="steady-state solver (default auto)",
     )
     _add_obs_arguments(solve_parser)
 
@@ -652,7 +654,10 @@ def _spec_payload(args: argparse.Namespace):
     if args.command == "solve":
         from repro.runtime.spec import parameters_to_dict
 
-        return parameters_to_dict(_parameters_from_args(args))
+        try:
+            return parameters_to_dict(_parameters_from_args(args))
+        except ValueError:
+            return None  # the command itself reported the bad parameters
     return None
 
 
@@ -937,8 +942,14 @@ def _execute(args: argparse.Namespace) -> int:
             print(format_transient_result(result))
         return _report_failures(result.failures)
 
+    if args.command in ("solve", "simulate"):
+        try:
+            params = _parameters_from_args(args)
+        except ValueError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+
     if args.command == "solve":
-        params = _parameters_from_args(args)
         solution = GprsMarkovModel(params, solver_method=args.solver).solve()
         rows = solution.measures.as_dict()
         rows["states"] = solution.parameters.state_space_size
@@ -954,7 +965,6 @@ def _execute(args: argparse.Namespace) -> int:
         from repro.simulator.config import SimulationConfig, TcpConfig
         from repro.simulator.simulation import GprsNetworkSimulator
 
-        params = _parameters_from_args(args)
         config = SimulationConfig(
             cell_parameters=params,
             number_of_cells=args.cells,

@@ -15,8 +15,11 @@ instead:
    component ``n`` with the GPRS component ``(m, r)``, so the phase chain is
    the Kronecker sum of a birth--death chain over ``n`` and a session chain
    over ``(m, r)`` -- its stationary distribution is the Kronecker *product*
-   of two tiny marginals, each solved exactly with GTH elimination in
-   microseconds instead of a sparse LU solve of the full phase chain.
+   of two tiny marginals.  Each factor chain is one diagonal block of the
+   phase coupling (the ``n = 0`` block and the ``(m, r) = (0, 0)`` block), so
+   both are read from the same stencil and solved exactly (GTH elimination
+   up to 600 states) in microseconds instead of a sparse LU solve of the
+   full phase chain.
 
 3. **For a fixed phase, the buffer occupancy is a birth--death fibre.**
    Packet arrivals and services only move ``k`` by one and never change the
@@ -52,16 +55,14 @@ operator keeps the fine operator's level structure.  The coarse system (a few
 hundred times smaller than the chain) is factorised once per engaged solve
 with a fill-reducing sparse LU; at each extrapolation-window boundary the
 balance residual is restricted, the coarse correction equation is solved
-exactly, and the prolongated correction -- least-squares-combined with a
-small *recycled subspace* of previous sweep-point directions (the differences
-of the warm-start stack) -- is applied.  Each correction is accepted only
-when it measurably lowers the true residual, so -- like the reduced-rank
-extrapolation -- it can never degrade the solution.  The machinery engages
-lazily (deep buffers only, and only once the iteration has proven slow), so
-short warm-started solves never pay the factorisation; with the correction
-disabled the iteration is bitwise identical to the plain path.  This is what
-stops the sweep count from scaling with the buffer size ``K`` (cf. multilevel
-aggregation for Markov chains and Krylov subspace recycling, PAPERS.md).
+exactly, and the prolongated correction is applied.  Each correction is
+accepted only when it measurably lowers the true residual, so -- like the
+reduced-rank extrapolation -- it can never degrade the solution.  The
+machinery engages lazily (deep buffers only, and only once the iteration has
+proven slow), so short warm-started solves never pay the factorisation; with
+the correction disabled the iteration is bitwise identical to the plain
+path.  This is what stops the sweep count from scaling with the buffer size
+``K``.
 
 Arrival-rate sweeps can reuse a :class:`StructuredSolveContext` across
 points: it caches everything that does not depend on the swept arrival rate
@@ -81,18 +82,13 @@ from repro.core.parameters import GprsModelParameters
 from repro.core.state_space import GprsStateSpace
 from repro.obs.metrics import current_registry
 from repro.obs.trace import current_tracer
-from repro.markov.solvers import (
-    SolverError,
-    SteadyStateResult,
-    solve_steady_state,
-    steady_state_gth,
-)
+from repro.markov.solvers import SolverError, SteadyStateResult, solve_steady_state
 from repro.traffic.units import MAX_TIME_SLOTS_PER_STATION
 
 __all__ = ["StructuredSolveContext", "solve_structured", "build_phase_generator"]
 
 
-def _phase_arrays(params: GprsModelParameters, space: GprsStateSpace):
+def _phase_arrays(space: GprsStateSpace):
     """Return per-phase arrays (n, m, r) in phase order ``phi = n * P + p``."""
     pair_count = (space.max_sessions + 1) * (space.max_sessions + 2) // 2
     phases = (space.gsm_channels + 1) * pair_count
@@ -123,7 +119,7 @@ def build_phase_generator(
     the buffer occupancy: GSM/GPRS arrivals and departures (including
     handovers) and the on/off switches of the aggregated traffic source.
     """
-    phases, pair_count, n, m, r = _phase_arrays(params, space)
+    phases, pair_count, n, m, r = _phase_arrays(space)
     index = np.arange(phases, dtype=np.int64)
 
     gsm_arrival = params.gsm_arrival_rate + gsm_handover_arrival_rate
@@ -184,7 +180,7 @@ def _rate_grids(params: GprsModelParameters, space: GprsStateSpace):
     The grid is indexed ``[k, phi]`` with ``phi = n * P + p`` matching
     :func:`build_phase_generator`.
     """
-    phases, pair_count, n, m, r = _phase_arrays(params, space)
+    phases, pair_count, n, m, r = _phase_arrays(space)
     levels = space.buffer_size + 1
     k = np.arange(levels)[:, None]
 
@@ -202,67 +198,26 @@ def _rate_grids(params: GprsModelParameters, space: GprsStateSpace):
     return arrival, service, offered
 
 
-def _gsm_phase_marginal(params: GprsModelParameters, gsm_arrival: float) -> np.ndarray:
-    """Exact stationary distribution of the GSM birth--death factor chain."""
-    servers = params.gsm_channels
-    departure = params.gsm_completion_rate + params.gsm_handover_departure_rate
-    n = np.arange(servers + 1)
-    generator = np.zeros((servers + 1, servers + 1))
-    if servers:
-        generator[n[:-1], n[:-1] + 1] = gsm_arrival
-        generator[n[1:], n[1:] - 1] = n[1:] * departure
-    np.fill_diagonal(generator, -generator.sum(axis=1))
-    return steady_state_gth(generator).distribution
+def _phase_marginal(phase_off: sp.csr_matrix, pair_count: int) -> np.ndarray:
+    """Exact stationary distribution of the phase chain from its coupling.
 
-
-def _pair_phase_marginal(
-    params: GprsModelParameters, space: GprsStateSpace, gprs_arrival: float
-) -> np.ndarray:
-    """Exact stationary distribution of the ``(m, r)`` session factor chain."""
-    max_sessions = space.max_sessions
-    pair_count = (max_sessions + 1) * (max_sessions + 2) // 2
-    departure = params.gprs_completion_rate + params.gprs_handover_departure_rate
-    start_on = params.probability_session_starts_on
-    offset = (
-        np.arange(max_sessions + 1, dtype=np.int64)
-        * np.arange(1, max_sessions + 2, dtype=np.int64)
-        // 2
-    )
-    m = np.repeat(np.arange(max_sessions + 1, dtype=np.int64), np.arange(1, max_sessions + 2))
-    r = np.arange(pair_count, dtype=np.int64) - offset[m]
-    index = np.arange(pair_count, dtype=np.int64)
-
-    rows, cols, values = [], [], []
-
-    def add(mask, target, rate):
-        rate = np.broadcast_to(np.asarray(rate, dtype=float), mask.shape)
-        keep = mask & (rate > 0)
-        rows.append(index[keep])
-        cols.append(target[keep])
-        values.append(rate[keep])
-
-    mask = m < max_sessions
-    m_next = np.minimum(m + 1, max_sessions)
-    add(mask, offset[m_next] + np.minimum(r, m_next), start_on * gprs_arrival)
-    add(mask, offset[m_next] + np.minimum(r + 1, m_next), (1.0 - start_on) * gprs_arrival)
-    m_prev = np.maximum(m - 1, 0)
-    mask = (m > 0) & (r > 0)
-    add(mask, offset[m_prev] + np.maximum(r - 1, 0), r * departure)
-    mask = (m > 0) & (r < m)
-    add(mask, offset[m_prev] + np.minimum(r, m_prev), (m - r) * departure)
-    mask = r < m
-    add(mask, offset[m] + np.minimum(r + 1, m), (m - r) * params.on_to_off_rate)
-    mask = r > 0
-    add(mask, offset[m] + np.maximum(r - 1, 0), r * params.off_to_on_rate)
-
-    off_diagonal = sp.coo_matrix(
-        (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(pair_count, pair_count),
-    ).tocsr()
-    off_diagonal.sum_duplicates()
-    exit_rates = np.asarray(off_diagonal.sum(axis=1)).ravel()
-    generator = (off_diagonal - sp.diags(exit_rates)).tocsr()
-    return solve_steady_state(generator, method="auto").distribution
+    The phase chain is the direct product of the GSM birth--death chain and
+    the ``(m, r)`` session chain, so its stationary distribution is the
+    Kronecker product of the two factor marginals.  Each factor chain is a
+    diagonal block of the off-diagonal phase matrix ``phase_off``: the
+    ``(m, r) = (0, 0)`` phases (every ``P``-th one) hold the GSM transitions,
+    and the ``n = 0`` phases (the first ``P``) the session transitions.
+    """
+    factors = []
+    for block in (
+        phase_off[::pair_count, ::pair_count],
+        phase_off[:pair_count, :pair_count],
+    ):
+        block.eliminate_zeros()  # frozen arrival slots of a zero arrival rate
+        exit_rates = np.asarray(block.sum(axis=1)).ravel()
+        generator = (block - sp.diags(exit_rates)).tocsr()
+        factors.append(solve_steady_state(generator, method="auto").distribution)
+    return np.kron(*factors)
 
 
 # ---------------------------------------------------------------------- #
@@ -303,7 +258,7 @@ class StructuredSolveContext:
     def build(
         cls, params: GprsModelParameters, space: GprsStateSpace
     ) -> "StructuredSolveContext":
-        phases, pair_count, n, m, r = _phase_arrays(params, space)
+        phases, pair_count, n, m, r = _phase_arrays(space)
         levels = space.buffer_size + 1
         arrival, service, _ = _rate_grids(params, space)
         sub = np.zeros((levels, phases))
@@ -422,21 +377,8 @@ class StructuredSolveContext:
         """
         cached = self.__dict__.get("_coarse_groups")
         if cached is None:
-            pair_m = np.empty(self.pair_count, dtype=np.int64)
-            pair_r = np.empty(self.pair_count, dtype=np.int64)
-            position = 0
-            for m in range(self.space.max_sessions + 1):
-                count = m + 1
-                pair_m[position : position + count] = m
-                pair_r[position : position + count] = np.arange(count)
-                position += count
-            active = pair_m - pair_r
-            n = np.repeat(
-                np.arange(self.phases // self.pair_count, dtype=np.int64),
-                self.pair_count,
-            )
-            bands = self.space.max_sessions + 1
-            gid = n * bands + np.tile(active, self.phases // self.pair_count)
+            _, _, n, m, r = _phase_arrays(self.space)
+            gid = n * (self.space.max_sessions + 1) + (m - r)
             groups = int(gid.max()) + 1
             if groups > _COARSE_MAX_GROUPS:
                 gid = n
@@ -506,18 +448,14 @@ def _thomas_solve(factors, rhs: np.ndarray, work: np.ndarray | None = None) -> n
 
 
 class _CoarseCorrector:
-    """Two-level correction plus recycled-subspace deflation for one solve.
+    """Two-level correction for one solve.
 
-    Holds the per-engagement scaffolding of the repetition-reuse pass: the
-    sparse LU factorisation of the level-aggregated coarse operator (grounded
-    at its last unknown -- the coarse generator is singular, and the
-    acceptance gate makes the grounding choice harmless) and the recycled
-    directions -- differences of the warm-start stack, i.e. the residual
-    directions the previous sweep points moved along -- with their
-    precomputed balance images (the balance map is linear and fixed, so each
-    recycled direction costs one application for the whole solve).  Built
-    only from the solve's own inputs, so reuse never couples solves: the
-    parallel == serial and warm == cold contracts are untouched.
+    Holds the per-engagement scaffolding of the correction: the sparse LU
+    factorisation of the level-aggregated coarse operator, grounded at one
+    unknown (the coarse generator is singular, and the acceptance gate makes
+    the grounding choice harmless).  Built only from the solve's own inputs,
+    so reuse never couples solves: the parallel == serial and warm == cold
+    contracts are untouched.
     """
 
     def __init__(
@@ -526,15 +464,9 @@ class _CoarseCorrector:
         weights: np.ndarray,
         phase_off: sp.csr_matrix,
         phase_exit: np.ndarray,
-        diag: np.ndarray,
-        recycled: list[np.ndarray],
     ) -> None:
         import scipy.sparse.linalg as spla
 
-        self._sub = context.sub
-        self._sup = context.sup
-        self._diag = diag
-        self._phase_off = phase_off
         levels, phases = context.levels, context.phases
         self._levels = levels
         gid, groups = context.coarse_groups()
@@ -546,147 +478,61 @@ class _CoarseCorrector:
         # group (the restriction itself is the plain group sum).
         self._weights = weights / np.where(group_mass[gid] > 0, group_mass[gid], 1.0)
         unknowns = levels * groups
-        self._pin = int(np.argmax(group_mass))
-        self._keep = np.flatnonzero(np.arange(unknowns) != self._pin)
-        # Cross-process reuse: the assembled, grounded coarse operator is a
-        # pure function of its construction inputs, so it can be served from
-        # the artifact store instead of re-assembled.  The LU factorisation
-        # itself is refactorised from the stored matrix (SuperLU objects do
-        # not round-trip), which is deterministic -- a store-served corrector
-        # produces bitwise-identical correction directions.
-        store, key = self._store_key(
-            gid, weights, phase_off, phase_exit, context, levels, groups
+        pin = int(np.argmax(group_mass))
+        self._keep = np.flatnonzero(np.arange(unknowns) != pin)
+        restrict = sp.csr_matrix(
+            (np.ones(phases), (np.arange(phases), gid)), shape=(phases, groups)
         )
-        grounded = self._load_grounded(store, key, unknowns)
-        if grounded is None:
-            restrict = sp.csr_matrix(
-                (np.ones(phases), (np.arange(phases), gid)), shape=(phases, groups)
-            )
-            prolong = sp.csr_matrix(
-                (self._weights, (gid, np.arange(phases))), shape=(groups, phases)
-            )
-            coupling = (prolong @ phase_off @ restrict).tocoo()
-            exit_c = prolong @ phase_exit
-            birth = (prolong @ context.arrival.T).T  # (levels, groups); exact
-            death = (prolong @ context.service.T).T
-            # Assemble the Galerkin coarse operator over (k, group): birth/death
-            # move k within a group, the restricted phase coupling acts within a
-            # level -- exactly the structure of the fine chain, a few hundred
-            # times smaller.
-            ks = np.arange(levels)
-            level_up = np.repeat(ks[:-1] * groups, groups) + np.tile(
-                np.arange(groups), levels - 1
-            )
-            level_dn = np.repeat(ks[1:] * groups, groups) + np.tile(
-                np.arange(groups), levels - 1
-            )
-            off_mask = coupling.row != coupling.col
-            couple_a = np.tile(coupling.row[off_mask], levels)
-            couple_b = np.tile(coupling.col[off_mask], levels)
-            couple_v = np.tile(coupling.data[off_mask], levels)
-            couple_k = np.repeat(ks * groups, int(off_mask.sum()))
-            self_coupling = np.zeros(groups)
-            diag_mask = ~off_mask
-            np.add.at(self_coupling, coupling.row[diag_mask], coupling.data[diag_mask])
-            diag_v = (-(birth + death) - exit_c[None, :] + self_coupling[None, :]).ravel()
-            rows = np.concatenate(
-                [level_up, level_dn, couple_k + couple_a, np.arange(unknowns)]
-            )
-            cols = np.concatenate(
-                [level_up + groups, level_dn - groups, couple_k + couple_b,
-                 np.arange(unknowns)]
-            )
-            values = np.concatenate(
-                [birth[:-1, :].ravel(), death[1:, :].ravel(), couple_v, diag_v]
-            )
-            operator = sp.coo_matrix(
-                (values, (rows, cols)), shape=(unknowns, unknowns)
-            ).tocsc()
-            # Row-vector correction equation e A_c = -r_c.  The coarse generator
-            # is singular with solution family e + t nu (nu = its stationary
-            # distribution), so one unknown is grounded -- at level 0 of the
-            # heaviest group, where nu is largest: grounding where nu is
-            # negligible (e.g. the top buffer level) would admit an enormous
-            # near-null component that dumps mass into zero-probability states.
-            # MMD(A^T + A) keeps the LU fill far below the default ordering on
-            # this lattice-like pattern.
-            grounded = operator.T[self._keep][:, self._keep].tocsc()
-            if store is not None:
-                try:
-                    store.put(
-                        key,
-                        {
-                            "data": grounded.data,
-                            "indices": grounded.indices,
-                            "indptr": grounded.indptr,
-                        },
-                        {"pin": self._pin},
-                    )
-                except OSError:
-                    pass  # an unwritable store never blocks a solve
+        prolong = sp.csr_matrix(
+            (self._weights, (gid, np.arange(phases))), shape=(groups, phases)
+        )
+        coupling = (prolong @ phase_off @ restrict).tocoo()
+        exit_c = prolong @ phase_exit
+        birth = (prolong @ context.arrival.T).T  # (levels, groups); exact
+        death = (prolong @ context.service.T).T
+        # Assemble the Galerkin coarse operator over (k, group): birth/death
+        # move k within a group, the restricted phase coupling acts within a
+        # level -- exactly the structure of the fine chain, a few hundred
+        # times smaller.
+        ks = np.arange(levels)
+        level_up = np.repeat(ks[:-1] * groups, groups) + np.tile(
+            np.arange(groups), levels - 1
+        )
+        level_dn = np.repeat(ks[1:] * groups, groups) + np.tile(
+            np.arange(groups), levels - 1
+        )
+        off_mask = coupling.row != coupling.col
+        couple_a = np.tile(coupling.row[off_mask], levels)
+        couple_b = np.tile(coupling.col[off_mask], levels)
+        couple_v = np.tile(coupling.data[off_mask], levels)
+        couple_k = np.repeat(ks * groups, int(off_mask.sum()))
+        self_coupling = np.zeros(groups)
+        diag_mask = ~off_mask
+        np.add.at(self_coupling, coupling.row[diag_mask], coupling.data[diag_mask])
+        diag_v = (-(birth + death) - exit_c[None, :] + self_coupling[None, :]).ravel()
+        rows = np.concatenate(
+            [level_up, level_dn, couple_k + couple_a, np.arange(unknowns)]
+        )
+        cols = np.concatenate(
+            [level_up + groups, level_dn - groups, couple_k + couple_b,
+             np.arange(unknowns)]
+        )
+        values = np.concatenate(
+            [birth[:-1, :].ravel(), death[1:, :].ravel(), couple_v, diag_v]
+        )
+        operator = sp.coo_matrix(
+            (values, (rows, cols)), shape=(unknowns, unknowns)
+        ).tocsc()
+        # Row-vector correction equation e A_c = -r_c.  The coarse generator
+        # is singular with solution family e + t nu (nu = its stationary
+        # distribution), so one unknown is grounded -- at level 0 of the
+        # heaviest group, where nu is largest: grounding where nu is
+        # negligible (e.g. the top buffer level) would admit an enormous
+        # near-null component that dumps mass into zero-probability states.
+        # MMD(A^T + A) keeps the LU fill far below the default ordering on
+        # this lattice-like pattern.
+        grounded = operator.T[self._keep][:, self._keep].tocsc()
         self._lu = spla.splu(grounded, permc_spec="MMD_AT_PLUS_A")
-        self.recycled = [(direction, self.balance(direction)) for direction in recycled]
-
-    @staticmethod
-    def _store_key(gid, weights, phase_off, phase_exit, context, levels, groups):
-        """Resolve the ambient store and this corrector's artifact key."""
-        from repro.store.artifacts import artifact_key, current_store
-
-        store = current_store()
-        if store is None:
-            return None, None
-        import hashlib
-
-        digest = hashlib.sha256()
-        for array in (
-            gid,
-            weights,
-            phase_off.data,
-            phase_off.indices,
-            phase_off.indptr,
-            phase_exit,
-            context.arrival,
-            context.service,
-        ):
-            digest.update(np.ascontiguousarray(array).tobytes())
-        key = artifact_key(
-            "coarse-operator",
-            {"inputs": digest.hexdigest(), "levels": levels, "groups": groups},
-        )
-        return store, key
-
-    def _load_grounded(self, store, key, unknowns):
-        """Return the stored grounded coarse operator, or ``None`` to assemble."""
-        if store is None:
-            return None
-        loaded = store.get(key)
-        if loaded is None:
-            return None
-        arrays, meta = loaded
-        try:
-            if int(meta["pin"]) != self._pin:
-                return None  # stale artifact: identities collided, re-assemble
-            side = unknowns - 1
-            grounded = sp.csc_matrix(
-                (
-                    arrays["data"].copy(),
-                    arrays["indices"].copy(),
-                    arrays["indptr"].copy(),
-                ),
-                shape=(side, side),
-            )
-        except (KeyError, TypeError, ValueError):
-            return None
-        current_registry().count("solver.structured.coarse_store_hits")
-        return grounded
-
-    def balance(self, x: np.ndarray) -> np.ndarray:
-        """Apply the (linear) grid balance map ``x -> x Q`` in grid form."""
-        out = self._diag * x
-        out[1:] += self._sub[1:] * x[:-1]
-        out[:-1] += self._sup[:-1] * x[1:]
-        out += x @ self._phase_off
-        return out
 
     def direction(self, residual_grid: np.ndarray) -> np.ndarray:
         """Return the coarse correction direction for one residual grid."""
@@ -730,8 +576,10 @@ _RRE_WINDOW = 6
 #: State count above which the extrapolation window is shortened to bound
 #: the memory of the stored iterates.
 _RRE_LARGE_STATE_LIMIT = 1_000_000
-#: Most recycled (previous sweep-point) directions kept by the correction.
-_RECYCLE_LIMIT = 3
+#: Sweep budget; a solve that exhausts it without converging raises
+#: :class:`~repro.markov.solvers.SolverError` unless its best iterate
+#: certifies anyway.
+_MAX_SWEEPS = 5000
 #: Buffer levels below which the coarse correction never engages: shallow
 #: buffers converge in a handful of windows and their iteration stays
 #: bitwise identical to the plain path.
@@ -762,8 +610,6 @@ def solve_structured(
     gsm_handover_arrival_rate: float,
     gprs_handover_arrival_rate: float,
     tol: float = 1e-9,
-    max_sweeps: int = 5000,
-    damping: float = 1.0,
     initial: np.ndarray | None = None,
     context: StructuredSolveContext | None = None,
     coarse_correction: bool = True,
@@ -783,13 +629,6 @@ def solve_structured(
     tol:
         Convergence threshold on the scaled residual
         ``||pi Q||_inf / max|Q_ii|``.
-    max_sweeps:
-        Iteration budget; a :class:`~repro.markov.solvers.SolverError` is
-        raised when it is exhausted without convergence.
-    damping:
-        Relaxation factor in ``(0, 1]`` applied to each sweep; values below
-        one suppress the oscillatory modes block-Jacobi iterations can exhibit
-        on nearly bipartite transition graphs.
     initial:
         Optional warm-start guess: a stationary vector in the flat state
         ordering of ``space`` (typically the solution of an adjacent sweep
@@ -805,9 +644,7 @@ def solve_structured(
         Optional :class:`StructuredSolveContext` shared across the points of
         an arrival-rate sweep; built on the fly when absent.
     coarse_correction:
-        Enable the two-level coarse-space correction (plus the recycled
-        subspace built from the warm-start stack's difference directions).
-        On deep buffers (``K + 1 >= 48`` levels) the extrapolation window is
+        Enable the two-level coarse-space correction.  On deep buffers (``K + 1 >= 48`` levels) the extrapolation window is
         widened and, once the iteration has proven slow, the level-aggregated
         coarse operator over ``(k, n, m - r)`` is factorised and a gated
         correction is applied at every window boundary; the step is accepted
@@ -832,8 +669,6 @@ def solve_structured(
             gsm_handover_arrival_rate=gsm_handover_arrival_rate,
             gprs_handover_arrival_rate=gprs_handover_arrival_rate,
             tol=tol,
-            max_sweeps=max_sweeps,
-            damping=damping,
             initial=initial,
             context=context,
             coarse_correction=coarse_correction,
@@ -851,8 +686,6 @@ def _solve_structured_impl(
     gsm_handover_arrival_rate: float,
     gprs_handover_arrival_rate: float,
     tol: float,
-    max_sweeps: int,
-    damping: float,
     initial: np.ndarray | None,
     context: StructuredSolveContext | None,
     coarse_correction: bool,
@@ -864,14 +697,7 @@ def _solve_structured_impl(
     gsm_arrival = params.gsm_arrival_rate + gsm_handover_arrival_rate
     gprs_arrival = params.gprs_arrival_rate + gprs_handover_arrival_rate
     phase_off, phase_exit = context.phase_coupling(gsm_arrival, gprs_arrival)
-
-    # Exact phase marginal: the phase chain is a direct product of the GSM
-    # birth-death chain and the (m, r) session chain, so its stationary
-    # distribution is the Kronecker product of the two factor marginals.
-    phase_marginal = np.kron(
-        _gsm_phase_marginal(params, gsm_arrival),
-        _pair_phase_marginal(params, space, gprs_arrival),
-    )
+    phase_marginal = _phase_marginal(phase_off, context.pair_count)
 
     sub, sup = context.sub, context.sup
     diag = -(context.fibre_exit + phase_exit[None, :])
@@ -880,7 +706,6 @@ def _solve_structured_impl(
     # Initial guess: a supplied warm start (adjacent sweep points), otherwise
     # the phase marginal spread geometrically towards small k.
     pi = None
-    recycled: list[np.ndarray] = []
     if initial is not None:
         guess = np.asarray(initial, dtype=float)
         if guess.ndim == 2:
@@ -888,18 +713,6 @@ def _solve_structured_impl(
                 raise ValueError(
                     f"initial stack has shape {guess.shape}, expected (j, {space.size})"
                 )
-            if coarse_correction and guess.shape[0] >= 2:
-                # The stack's difference directions are the residual
-                # directions the previous sweep points converged along --
-                # the recycled subspace of the correction step (normalised
-                # for the conditioning of its least-squares system).
-                for row in range(
-                    max(0, guess.shape[0] - 1 - _RECYCLE_LIMIT), guess.shape[0] - 1
-                ):
-                    direction = context.from_flat(guess[row + 1] - guess[row])
-                    magnitude = float(np.max(np.abs(direction)))
-                    if magnitude > 0:
-                        recycled.append(direction / magnitude)
             guess = _combine_seed_stack(guess, generator)
         if guess.shape != (space.size,):
             raise ValueError(
@@ -918,13 +731,17 @@ def _solve_structured_impl(
 
     scale = float(np.max(np.abs(generator.diagonal()))) or 1.0
 
-    def grid_residual(x: np.ndarray, inflow: np.ndarray) -> float:
-        """Scaled ``||x Q||_inf`` evaluated on the grid (a few vector ops)."""
+    def grid_balance(x: np.ndarray, inflow: np.ndarray) -> np.ndarray:
+        """``x Q`` on the grid, given the phase inflow ``x @ phase_off``."""
         balance = diag * x
         balance[1:] += sub[1:] * x[:-1]
         balance[:-1] += sup[:-1] * x[1:]
         balance += inflow
-        return float(np.max(np.abs(balance))) / scale
+        return balance
+
+    def grid_residual(x: np.ndarray, inflow: np.ndarray) -> float:
+        """Scaled ``||x Q||_inf`` evaluated on the grid (a few vector ops)."""
+        return float(np.max(np.abs(grid_balance(x, inflow)))) / scale
 
     def rescale(grid: np.ndarray) -> np.ndarray | None:
         """Clip, match the exact phase marginal and normalise, all in place.
@@ -951,48 +768,25 @@ def _solve_structured_impl(
     corrections = 0
 
     def correction_step(pi, inflow, residual):
-        """One two-level + recycled-subspace correction, gated on improvement.
+        """One two-level correction, gated on improvement.
 
-        Two candidates compete against the current iterate: the full coarse
-        step (the exact solution of the coarse correction equation) and its
-        least-squares combination with the recycled directions.  A rejected
-        step hands the iterate back untouched, so the correction can never
-        regress.  Returns ``(pi, inflow, residual, accepted)``.
+        The candidate is the full coarse step (the exact solution of the
+        coarse correction equation).  A rejected step hands the iterate back
+        untouched, so the correction can never regress.  Returns
+        ``(pi, inflow, residual, accepted)``.
         """
-        balance = diag * pi
-        balance[1:] += sub[1:] * pi[:-1]
-        balance[:-1] += sup[:-1] * pi[1:]
-        balance += inflow
-        directions = [corrector.direction(balance)]
-        balances = [corrector.balance(directions[0])]
-        for direction, image in corrector.recycled:
-            directions.append(direction)
-            balances.append(image)
-        candidates = [pi + directions[0]]
-        if len(directions) > 1:
-            gram = np.array(
-                [[float(np.vdot(a, b)) for b in balances] for a in balances]
-            )
-            moments = np.array([float(np.vdot(image, balance)) for image in balances])
-            try:
-                coefficients, *_ = np.linalg.lstsq(gram, -moments, rcond=None)
-            except np.linalg.LinAlgError:
-                coefficients = None
-            if coefficients is not None and np.isfinite(coefficients).all():
-                combined = pi.copy()
-                for coefficient, direction in zip(coefficients, directions):
-                    combined += coefficient * direction
-                candidates.append(combined)
-        best = (pi, inflow, residual, False)
-        for candidate in candidates:
-            candidate = rescale(candidate)
-            if candidate is None:
-                continue
-            candidate_inflow = candidate @ phase_off
-            candidate_residual = grid_residual(candidate, candidate_inflow)
-            if candidate_residual < best[2]:
-                best = (candidate, candidate_inflow, candidate_residual, True)
-        return best
+        # A named direction is never a temporary numpy may reuse for the sum,
+        # so the candidate takes the iterate's memory layout, which fixes the
+        # summation order of the rescaling.
+        direction = corrector.direction(grid_balance(pi, inflow))
+        candidate = rescale(pi + direction)
+        if candidate is None:
+            return pi, inflow, residual, False
+        candidate_inflow = candidate @ phase_off
+        candidate_residual = grid_residual(candidate, candidate_inflow)
+        if candidate_residual < residual:
+            return candidate, candidate_inflow, candidate_residual, True
+        return pi, inflow, residual, False
 
     window = _RRE_WINDOW if space.size <= _RRE_LARGE_STATE_LIMIT else 4
     if coarse_enabled and space.size <= _RRE_LARGE_STATE_LIMIT:
@@ -1009,9 +803,7 @@ def _solve_structured_impl(
         and tol <= residual
         and residual > _COARSE_SEED_RESIDUAL
     ):
-        corrector = _CoarseCorrector(
-            context, phase_marginal, phase_off, phase_exit, diag, recycled
-        )
+        corrector = _CoarseCorrector(context, phase_marginal, phase_off, phase_exit)
         pi, inflow, residual, accepted = correction_step(pi, inflow, residual)
         if accepted:
             corrections += 1
@@ -1028,15 +820,11 @@ def _solve_structured_impl(
     # acceptance anyway); in between each sweep is a handful of vector
     # operations, so a converged iterate is recognised at most ``window``
     # sweeps late.
-    while residual >= tol and sweeps < max_sweeps:
+    while residual >= tol and sweeps < _MAX_SWEEPS:
         sweeps += 1
-        updated = rescale(_thomas_solve(factors, -inflow))
-        if updated is None:
+        pi = rescale(_thomas_solve(factors, -inflow))
+        if pi is None:
             raise SolverError("structured solver diverged")
-        if damping != 1.0:
-            updated = damping * updated + (1.0 - damping) * pi
-            updated /= updated.sum()
-        pi = updated
         inflow = pi @ phase_off
 
         current_flat = pi.ravel()
@@ -1082,7 +870,7 @@ def _solve_structured_impl(
             ):
                 if corrector is None:
                     corrector = _CoarseCorrector(
-                        context, phase_marginal, phase_off, phase_exit, diag, recycled
+                        context, phase_marginal, phase_off, phase_exit
                     )
                 pi, inflow, residual, accepted = correction_step(pi, inflow, residual)
                 if accepted:

@@ -58,60 +58,41 @@ def uniformize(generator, rate: float | None = None) -> tuple[sp.csr_matrix, flo
     return p.tocsr(), lam
 
 
-#: Mean above which :func:`poisson_truncation_point` switches from the exact
-#: linear scan to the guarded normal-approximation jump.  Below it the scan is
-#: bitwise-identical to the historical implementation.
-_SCAN_MEAN_THRESHOLD = 32.0
-
-
 def poisson_truncation_point(mean: float, tol: float) -> int:
     """Return a ``k`` such that the Poisson CDF at ``k`` exceeds ``1 - tol``.
 
-    For ``mean <= 32`` this is the *smallest* such ``k``, found by the exact
-    linear scan (bitwise-identical to the historical implementation).  For
-    larger means -- the paper preset's 26k-state chain pushes ``Lambda * t``
-    into the tens of thousands, where an O(mean) scan per uniformisation step
-    dominates the solve -- the start point jumps straight to the
-    Cornish-Fisher normal-approximation quantile and then walks upward until
-    a certified geometric tail bound proves the coverage, returning in
-    O(sqrt(mean)) arithmetic operations.  The result may exceed the smallest
-    admissible ``k`` by a few terms (the bound is conservative), which only
-    costs the caller some vanishing-weight series terms; the coverage
-    guarantee ``CDF(k) >= 1 - tol`` always holds.
+    The coverage is certified by a geometric tail bound: beyond the mode the
+    PMF decays at least geometrically, so ``P(X > k)`` is at most
+    ``pmf(k + 1) / (1 - mean / (k + 2))``.  The walk moves ``k`` upward one
+    term at a time (incremental log-PMF updates) until the bound falls below
+    ``tol``.  Small means start at the mode, so the result is the smallest
+    ``k`` the bound certifies.  Large means -- the paper preset's 26k-state
+    chain pushes ``Lambda * t`` into the tens of thousands -- start at the
+    Cornish-Fisher normal-approximation quantile, so the walk takes
+    O(sqrt(mean)) steps at worst.  Either way the bound is conservative: the
+    result may exceed the smallest admissible ``k`` by a few terms, which
+    only costs the caller some vanishing-weight series terms, and the
+    guarantee ``CDF(k) >= 1 - tol`` holds without relying on a
+    floating-point CDF sum.
     """
     if not 0 <= mean < np.inf:
         raise ValueError("mean must be finite and non-negative")
     if mean == 0:
         return 0
-    if mean <= _SCAN_MEAN_THRESHOLD:
-        # Walk the PMF recursively; for small means this is cheap and avoids
-        # scipy.stats overhead inside tight loops.
-        pmf = np.exp(-mean)
-        cdf = pmf
-        k = 0
-        # Upper guard: mean + 12 * sqrt(mean) + 30 comfortably covers tol >= 1e-15.
-        guard = int(mean + 12.0 * np.sqrt(mean) + 30.0)
-        while cdf < 1.0 - tol and k < guard:
-            k += 1
-            pmf *= mean / k
-            cdf += pmf
-        return k
 
     from math import lgamma, log, sqrt
 
-    from scipy.special import ndtri
+    k = int(mean)
+    if mean > 32.0:
+        from scipy.special import ndtri
 
-    # Cornish-Fisher expansion of the Poisson quantile: the normal quantile z
-    # corrected for the skewness 1 / sqrt(mean).
-    z = max(0.0, float(ndtri(min(1.0 - tol, 1.0 - 1e-16))))
-    k = int(mean + z * sqrt(mean) + (z * z - 1.0) / 6.0) + 1
-    k = max(k, int(mean) + 1)
+        # Cornish-Fisher expansion of the Poisson quantile: the normal
+        # quantile z corrected for the skewness 1 / sqrt(mean).  For smaller
+        # means this start often lies past the end the walk would certify.
+        z = max(0.0, float(ndtri(min(1.0 - tol, 1.0 - 1e-16))))
+        k = int(mean + z * sqrt(mean) + (z * z - 1.0) / 6.0) + 1
+        k = max(k, int(mean) + 1)
 
-    # Certified coverage: P(X > k) <= pmf(k+1) / (1 - mean / (k + 2)) because
-    # the PMF beyond the mode decays at least geometrically with ratio
-    # mean / (k + 2).  Walk k upward (incremental log-PMF updates) until the
-    # bound proves the tail below tol; from the Cornish-Fisher start this
-    # takes O(sqrt(mean)) unit steps at worst.
     log_mean = log(mean)
     log_pmf_next = -mean + (k + 1) * log_mean - lgamma(k + 2.0)
     guard = k + int(12.0 * sqrt(mean) + 30.0)

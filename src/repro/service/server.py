@@ -5,8 +5,8 @@ so that everything a cold CLI invocation rebuilds per run stays hot across
 requests:
 
 - the **artifact store memory tier** (propagator replay checkpoints,
-  generator templates, coarse LU operand matrices) -- a repeated request
-  replays instead of resolving;
+  generator templates) -- a repeated request replays instead of
+  resolving;
 - the **result cache**, answering repeat requests without touching a
   solver at all;
 - per solver thread, a persistent

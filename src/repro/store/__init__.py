@@ -9,8 +9,7 @@ in-memory LRU.  Two codecs sit on it: the JSON result cache
 (:class:`repro.runtime.cache.ResultCache`) for finished answers, and
 :class:`~repro.store.artifacts.ArtifactStore` for the *binary* warm state
 that dominates a solve's wall time: segment-propagator replay checkpoints,
-generator-template index arrays, assembled coarse-space operators and
-warm-start distribution stacks, fronted by a per-process read-through memory
+generator-template index arrays and warm-start distribution stacks, fronted by a per-process read-through memory
 tier so hot artifacts cost one dict lookup.
 
 See :mod:`repro.service` for the long-lived server that keeps one store's

@@ -19,8 +19,8 @@ Keys come from :func:`artifact_key`, which digests the artifact's identity
 together with the code-version tag, so any local code edit invalidates every
 stored artifact at once -- binary warm state can never serve stale numbers.
 
-Ambient resolution: engine seams (propagator cache, template build, coarse
-corrector) call :func:`current_store`, which prefers an explicitly activated
+Ambient resolution: engine seams (propagator cache, template build, warm
+seeds) call :func:`current_store`, which prefers an explicitly activated
 :func:`store_context` and otherwise falls back to a process-wide store rooted
 at ``$REPRO_STORE_DIR`` when that variable is set.  With neither, the store
 is off and every seam behaves exactly as before -- cold paths stay cold.
@@ -75,7 +75,7 @@ def artifact_key(kind: str, identity: dict, *, code_version: str = CODE_VERSION)
     """Return the content hash of one artifact.
 
     ``kind`` namespaces the artifact family (``"propagator"``,
-    ``"template"``, ``"coarse-operator"``, ``"warm-seed"``); ``identity``
+    ``"template"``, ``"warm-seed"``); ``identity``
     is a JSON-renderable dictionary of everything that determines the
     artifact's bytes.  The code-version tag is mixed in by default, so code
     edits invalidate all artifacts exactly like JSON results.

@@ -50,6 +50,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["solve"])
 
+    def test_solve_rejects_unknown_solver_before_building_the_model(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(
+                ["solve", "--arrival-rate", "0.4", "--solver", "bogus"]
+            )
+        assert raised.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_solve_accepts_every_listed_solver(self):
+        for solver in ("auto", "structured", "gth", "direct", "power", "gauss-seidel"):
+            args = build_parser().parse_args(
+                ["solve", "--arrival-rate", "0.4", "--solver", solver]
+            )
+            assert args.solver == solver
+
     def test_sweep_command_arguments(self):
         args = build_parser().parse_args(
             ["sweep", "heavy-gprs", "--preset", "smoke", "--jobs", "4", "--no-cache"]
@@ -284,3 +299,28 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "Simulation results" in output
         assert "carried_data_traffic" in output
+
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--arrival-rate", "nan"],
+            ["--arrival-rate", "-1"],
+            ["--arrival-rate", "0.4", "--reserved-pdch", "20"],
+        ],
+        ids=["nan-rate", "negative-rate", "no-gsm-channel"],
+    )
+    def test_bad_model_parameters_exit_2_with_an_error_line(
+        self, capsys, command, flags
+    ):
+        argv = [command, *flags, "--buffer-size", "5", "--max-sessions", "3"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_bad_model_parameters_exit_2_when_instrumented(self, capsys):
+        argv = ["solve", "--arrival-rate", "nan", "--buffer-size", "5", "--trace"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")

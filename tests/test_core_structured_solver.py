@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.generator import build_generator
 from repro.core.handover import balance_handover_rates
@@ -11,12 +12,11 @@ from repro.core.parameters import GprsModelParameters
 from repro.core.state_space import GprsStateSpace
 from repro.core.structured_solver import (
     StructuredSolveContext,
-    _gsm_phase_marginal,
-    _pair_phase_marginal,
+    _phase_marginal,
     build_phase_generator,
     solve_structured,
 )
-from repro.markov.solvers import solve_steady_state
+from repro.markov.solvers import solve_steady_state, steady_state_direct
 from repro.queueing.erlang import ErlangLossSystem
 from repro.traffic.presets import TRAFFIC_MODEL_1, TRAFFIC_MODEL_3
 
@@ -70,10 +70,10 @@ class TestPhaseGenerator:
 
 
 class TestPhaseStencilConsistency:
-    """The phase transition stencil exists in three forms (the sparse phase
-    generator, the context's frozen pattern, and the Kronecker factor
-    chains); these tests pin them to each other so an edit to one copy
-    cannot silently desynchronise the solver."""
+    """The phase transition stencil exists in two forms (the sparse phase
+    generator and the context's frozen pattern, whose diagonal blocks are
+    the Kronecker factor chains); these tests pin them to each other so an
+    edit to one copy cannot silently desynchronise the solver."""
 
     def test_context_coupling_matches_phase_generator(self, small_parameters):
         balance, space, _ = _setup(small_parameters)
@@ -113,10 +113,9 @@ class TestPhaseStencilConsistency:
         gprs_arrival = (
             small_parameters.gprs_arrival_rate + balance.gprs_handover_arrival_rate
         )
-        kronecker = np.kron(
-            _gsm_phase_marginal(small_parameters, gsm_arrival),
-            _pair_phase_marginal(small_parameters, space, gprs_arrival),
-        )
+        context = StructuredSolveContext.build(small_parameters, space)
+        phase_off, _ = context.phase_coupling(gsm_arrival, gprs_arrival)
+        kronecker = _phase_marginal(phase_off, context.pair_count)
         assert kronecker == pytest.approx(solved, abs=1e-12)
 
 
@@ -202,3 +201,50 @@ class TestStructuredSolution:
         )
         reference = solve_steady_state(generator, method="direct")
         assert structured.distribution == pytest.approx(reference.distribution, abs=1e-6)
+
+
+class TestCoarseCorrectionOracle:
+    """The coarse path against an exact sparse LU solve of the whole chain.
+
+    Small chains deep enough to engage the correction (``K + 1 >= 48``
+    levels), solved to the tolerance floor with the correction on and off,
+    cold and warm-seeded from the exact solution at an adjacent rate.
+    """
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        channels=st.integers(3, 6),
+        reserved=st.integers(1, 2),
+        buffer_size=st.integers(48, 80),
+        sessions=st.integers(1, 3),
+        rate=st.floats(0.1, 1.2),
+    )
+    def test_matches_direct_lu(self, channels, reserved, buffer_size, sessions, rate):
+        params = GprsModelParameters.from_traffic_model(
+            TRAFFIC_MODEL_3,
+            rate,
+            buffer_size=buffer_size,
+            max_gprs_sessions=sessions,
+            number_of_channels=channels,
+            reserved_pdch=reserved,
+        )
+        balance, space, generator = _setup(params)
+        exact = steady_state_direct(generator).distribution
+        adjacent = _setup(params.with_arrival_rate(1.1 * rate))[2]
+        seed = steady_state_direct(adjacent).distribution
+        for coarse in (False, True):
+            for initial in (None, seed):
+                result = solve_structured(
+                    params,
+                    space,
+                    generator,
+                    gsm_handover_arrival_rate=balance.gsm_handover_arrival_rate,
+                    gprs_handover_arrival_rate=balance.gprs_handover_arrival_rate,
+                    tol=1e-14,
+                    initial=initial,
+                    coarse_correction=coarse,
+                )
+                error = float(np.max(np.abs(result.distribution - exact)))
+                assert error <= 1e-10, (coarse, initial is not None, error)
+                if coarse and initial is None:
+                    assert result.coarse_corrections >= 1

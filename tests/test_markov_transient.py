@@ -42,19 +42,6 @@ class TestUniformize:
         assert rate > 0
 
 
-def _linear_scan_truncation(mean: float, tol: float) -> int:
-    """The historical linear scan (the small-mean reference implementation)."""
-    pmf = np.exp(-mean)
-    cdf = pmf
-    k = 0
-    guard = int(mean + 12.0 * np.sqrt(mean) + 30.0)
-    while cdf < 1.0 - tol and k < guard:
-        k += 1
-        pmf *= mean / k
-        cdf += pmf
-    return k
-
-
 class TestPoissonTruncation:
     def test_zero_mean(self):
         assert poisson_truncation_point(0.0, 1e-10) == 0
@@ -73,15 +60,23 @@ class TestPoissonTruncation:
     def test_truncation_grows_with_mean(self):
         assert poisson_truncation_point(100.0, 1e-9) > poisson_truncation_point(1.0, 1e-9)
 
-    def test_small_means_bitwise_match_the_linear_scan(self):
-        """Below the jump threshold the scan result is reproduced exactly."""
-        rng = np.random.default_rng(20020527)
-        means = list(rng.uniform(0.001, 32.0, 100)) + [1.0, 31.999, 32.0]
-        for mean in means:
-            for tol in (1e-6, 1e-9, 1e-12, 1e-15):
-                assert poisson_truncation_point(mean, tol) == _linear_scan_truncation(
-                    mean, tol
-                ), (mean, tol)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mean=st.floats(0.0, 32.0, exclude_min=True),
+        tol_exponent=st.floats(-15.0, -6.0),
+    )
+    @example(mean=25.989315030529582, tol_exponent=-15.0)
+    @example(mean=14.973918490999065, tol_exponent=-15.0)
+    @example(mean=31.646724725820317, tol_exponent=-15.0)
+    def test_small_means_are_certified_and_tight(self, mean, tol_exponent):
+        """Small means walk the tail bound from the mode: the end covers the
+        requested mass and is at most one term past the smallest such end."""
+        from scipy.stats import poisson
+
+        tol = 10.0**tol_exponent
+        point = poisson_truncation_point(mean, tol)
+        assert poisson.sf(point, mean) <= tol
+        assert point <= 1 or poisson.sf(point - 2, mean) > tol
 
     @pytest.mark.parametrize("mean", [50.0, 200.0, 1234.5, 2e4, 1e6])
     @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
@@ -172,6 +167,9 @@ class TestPoissonWindow:
     @given(mean=_MEANS, tol_exponent=st.floats(-15.0, -3.0))
     @example(mean=1e5, tol_exponent=-15.0)
     @example(mean=4000.0, tol_exponent=-12.0)
+    @example(mean=25.989315030529582, tol_exponent=-15.0)
+    @example(mean=14.973918490999065, tol_exponent=-15.0)
+    @example(mean=31.646724725820317, tol_exponent=-15.0)
     def test_mass_outside_the_window_is_within_tol(self, mean, tol_exponent):
         from scipy.stats import poisson
 

@@ -1,10 +1,10 @@
 """Warm-across-process behaviour of the artifact-store seams.
 
-Each seam (propagator replay checkpoints, generator templates, coarse
-corrector operators, warm-seed stacks) is exercised the way a second
-*process* would see it: fresh in-memory caches, a shared on-disk store.
-The acceptance-level CLI tests at the bottom really do cross a process
-boundary (``python -m repro`` subprocesses sharing one ``--store-dir``).
+Each seam (propagator replay checkpoints, generator templates, warm-seed
+stacks) is exercised the way a second *process* would see it: fresh
+in-memory caches, a shared on-disk store.  The acceptance-level CLI tests
+at the bottom really do cross a process boundary (``python -m repro``
+subprocesses sharing one ``--store-dir``).
 """
 
 from __future__ import annotations
@@ -142,32 +142,6 @@ class TestTemplateSeam:
             warm.steady_state.distribution, plain.steady_state.distribution
         )
         assert warm.measures.as_dict() == plain.measures.as_dict()
-
-
-class TestCoarseSeam:
-    def test_structured_solver_reuses_the_coarse_operator(self, tmp_path):
-        # The correction engages only at real buffer depth (the paper's
-        # K=100); shallow presets never build the coarse operator at all.
-        store = ArtifactStore(tmp_path)
-        params = GprsModelParameters.from_traffic_model(
-            TRAFFIC_MODEL_3, 0.5, buffer_size=100, max_gprs_sessions=10
-        )
-        registry = current_registry()
-        with store_context(store):
-            cold = GprsMarkovModel(params, solver_method="structured").solve()
-            assert cold.steady_state.coarse_corrections >= 1
-            baseline = registry.snapshot()
-            warm = GprsMarkovModel(params, solver_method="structured").solve()
-        delta = registry.delta_since(baseline)["counters"]
-        assert delta.get("solver.structured.coarse_store_hits", 0) >= 1
-        assert np.array_equal(
-            warm.steady_state.distribution, cold.steady_state.distribution
-        )
-        with store_context(None):
-            plain = GprsMarkovModel(params, solver_method="structured").solve()
-        assert np.array_equal(
-            warm.steady_state.distribution, plain.steady_state.distribution
-        )
 
 
 class TestWarmSeedSeam:

@@ -175,7 +175,7 @@ def _structured_setup(preset_buffer: int | None, sessions: int, rate: float):
     return params, space, balance, generator, context
 
 
-def _solve_pair(preset_buffer, sessions, rate, *, tol, initial=None):
+def _solve_pair(preset_buffer, sessions, rate, *, tol):
     """Solve one configuration with the correction off and on."""
     params, space, balance, generator, context = _structured_setup(
         preset_buffer, sessions, rate
@@ -191,7 +191,6 @@ def _solve_pair(preset_buffer, sessions, rate, *, tol, initial=None):
             tol=tol,
             context=context,
             coarse_correction=coarse,
-            initial=initial,
         )
     return params, space, balance, results[False], results[True]
 
@@ -250,21 +249,3 @@ class TestCoarseCorrection:
             assert float(
                 np.max(np.abs(plain.distribution - corrected.distribution))
             ) <= 1e-8
-
-    def test_warm_stack_recycled_directions_keep_agreement(self):
-        """A warm-started corrected solve stays within 1e-8 of the plain one.
-
-        Both arms converge to the tolerance floor (stopping-point noise at
-        working tolerance sits above 1e-8, exactly as in the warm-vs-cold
-        benchmarks); the warm stack feeds the recycled subspace.
-        """
-        stack = []
-        for rate in (0.45, 0.5):
-            _, _, _, plain, _ = _solve_pair(100, 8, rate, tol=1e-10)
-            stack.append(plain.distribution)
-        params, space, balance, plain, corrected = _solve_pair(
-            100, 8, 0.55, tol=1e-13, initial=np.stack(stack, axis=0)
-        )
-        assert float(
-            np.max(np.abs(plain.distribution - corrected.distribution))
-        ) <= 1e-8
